@@ -29,6 +29,11 @@ cargo --offline --version >/dev/null 2>&1 || OFFLINE=""
 echo "==> cargo build --release"
 cargo build $OFFLINE --workspace --release
 
+echo "==> solvebench build (the benchmark compiles against the public API)"
+# solvebench is its own package outside the workspace; building it here
+# makes a public-API change that breaks the benchmark fail CI.
+cargo build $OFFLINE --release --manifest-path solvebench/Cargo.toml
+
 echo "==> cargo test"
 cargo test $OFFLINE --workspace -q
 
@@ -42,21 +47,25 @@ echo "==> overlap checker (debug profile — the checker compiles out in release
 cargo test $OFFLINE --test overlap_checker
 
 echo "==> dataflow scheduler ordering property (debug profile)"
-# The dataflow pool replaces the per-level barrier with per-edge atomic
-# in-degrees; these property tests stamp every block with a shared
-# logical clock on random graphs and assert no block ever starts before
-# its predecessors finish, at 1/2/4/8 workers — both the intra-sweep
-# Eq. (3) ordering and the sweep-extended ordering of batched drains
-# (self anti dependence + forward-neighbor flow dependence into the
-# next sweep).
+# The pool has one dataflow drain, over the sweep-extended graph; an
+# eager call is a drain of one sweep. It replaces the per-level barrier
+# with per-edge atomic in-degrees; these property tests stamp every
+# block with a shared logical clock on random graphs and assert no block
+# ever starts before its predecessors finish, at 1/2/4/8 workers —
+# through the single entry point, both eagerly (the intra-sweep Eq. (3)
+# ordering) and batched (plus the cross-sweep self anti dependence and
+# forward-neighbor flow dependence into the next sweep).
 cargo test $OFFLINE --test dataflow_trace
 
 echo "==> batched sweep equivalence (debug profile — sweep checker active)"
 # Cross-sweep batching must stay bit- and stats-identical to eager
 # sweep-by-sweep execution on SOR Tr2, gs5, and LU-SGS, across both
-# wavefront schedulers and 1/2/4/8 threads at depths 1/2/4. The debug
-# profile keeps the cross-sweep overlap checker armed, so a mis-batched
-# schedule panics instead of silently producing matching bits.
+# wavefront schedulers and 1/2/4/8 threads at depths 1/2/4. Eager
+# dataflow and every batch run the same graph drain (depth 1 is a
+# one-sweep batch); eager levels runs the barrier drain. The debug
+# profile keeps the graph drain's overlap checker armed, so a
+# mis-batched schedule panics instead of silently producing matching
+# bits.
 cargo test $OFFLINE --test engine_equiv batched
 
 echo "==> scaling shape fence (release profile — timing asserts are noise in debug)"

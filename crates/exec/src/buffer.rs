@@ -568,6 +568,10 @@ impl BufferView {
     /// deterministic regardless of how the sweeps that produced `self`
     /// were scheduled.
     ///
+    /// Both folds propagate NaN (`f64::max` would drop it): a NaN or
+    /// diverged (`inf − inf`) cell makes the delta NaN, which no
+    /// `delta < tol` test accepts as convergence.
+    ///
     /// # Panics
     /// Panics when `prev.len()` differs from the view's element count.
     pub fn max_delta_update(&self, prev: &mut [f64]) -> f64 {
@@ -587,7 +591,7 @@ impl BufferView {
                 full[d] = idx[d] + self.origin[d];
             }
             let cur = self.load(&full);
-            chunk_max = chunk_max.max((cur - *prev_slot).abs());
+            chunk_max = nan_max(chunk_max, (cur - *prev_slot).abs());
             *prev_slot = cur;
             if (flat + 1) % CHUNK == 0 {
                 partials.push(chunk_max);
@@ -602,7 +606,7 @@ impl BufferView {
             }
         }
         partials.push(chunk_max);
-        partials.into_iter().fold(0.0, f64::max)
+        partials.into_iter().fold(0.0, nan_max)
     }
 
     /// Maximum absolute elementwise difference against another view of the
@@ -614,6 +618,16 @@ impl BufferView {
             .zip(other.to_vec())
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
+    }
+}
+
+/// `max` that propagates NaN: once either side is NaN the result stays
+/// NaN ([`f64::max`] returns the other operand instead).
+fn nan_max(acc: f64, x: f64) -> f64 {
+    if acc.is_nan() || x.is_nan() {
+        f64::NAN
+    } else {
+        acc.max(x)
     }
 }
 
@@ -629,7 +643,9 @@ impl BufferView {
 /// *other* block of the same level, the checker panics naming both
 /// blocks and the offending extents. A fresh [`LevelChecker`] per level
 /// implements the "reset at the barrier" semantics — blocks of
-/// *different* levels may freely write the same cells.
+/// *different* levels may freely write the same cells. The dataflow
+/// graph drain has no barrier and uses [`SweepChecker`] instead, which
+/// orders blocks by the dependence graph.
 ///
 /// Recorded write sets pin an `Arc` clone of each touched allocation
 /// until the level ends, so a per-block temporary freed by one block
@@ -791,145 +807,32 @@ pub mod overlap {
         }
     }
 
-    /// Whole-run overlap checker for the dataflow scheduler.
+    /// Overlap checker for the dataflow graph drain.
     ///
-    /// Dataflow execution has no levels to reset at, so disjointness is
-    /// checked against the block *dependence graph* instead: any two
-    /// blocks left **unordered** by the graph may run concurrently (at
-    /// some thread count, under some timing), so they must write
-    /// disjoint extents. Blocks ordered by a transitive dependence may
-    /// freely reuse cells — the Acquire/Release edge of the in-degree
-    /// handoff orders their writes.
+    /// A graph drain has no levels to reset at, so disjointness is
+    /// checked against the dependence graph instead. The checked
+    /// universe is the `sweeps × num_blocks` grid of sweep-qualified
+    /// block executions (an eager call is a batch of one sweep). Within
+    /// one sweep the ordering relation is the block dependence graph;
+    /// across sweeps, block `b` of sweep `s+1` is ordered after
+    /// `{b} ∪ succ(b)` of sweep `s` (the cross-sweep dependence pattern
+    /// of the L/U in-place split), and transitively after everything
+    /// those nodes dominate. Any two executions left **unordered** may
+    /// run concurrently (at some thread count, under some timing), so
+    /// their write intervals must be disjoint; ordered ones may freely
+    /// reuse cells — the Acquire/Release edge of the in-degree handoff
+    /// orders their writes.
     ///
-    /// Ordering is decided from transitive-ancestor bitsets computed
-    /// once per run, so verdicts are deterministic: the same module
-    /// panics (or passes) identically at every thread count, including
-    /// 1 — unlike a temporal check, which would only catch races that
-    /// happened to manifest.
-    pub struct GraphChecker {
-        /// `ancestors[b]` bit `p` set iff block `p` is a transitive
-        /// predecessor of `b` (all predecessors have lower flat index).
-        ancestors: Vec<Vec<u64>>,
-        done: Mutex<Vec<BlockWrites>>,
-    }
-
-    impl GraphChecker {
-        /// A fresh checker for one dataflow run over `graph`.
-        pub fn new(graph: &instencil_pattern::dataflow::BlockGraph) -> Self {
-            let n = graph.num_blocks();
-            let words = n.div_ceil(64);
-            let mut ancestors: Vec<Vec<u64>> = Vec::with_capacity(n);
-            for b in 0..n {
-                let mut bits = vec![0u64; words];
-                for &p in graph.predecessors(b) {
-                    let p = p as usize;
-                    // Predecessors precede `b` in flat order (deps are
-                    // lexicographically negative), so ancestors[p] is
-                    // already final.
-                    for (w, a) in bits.iter_mut().zip(&ancestors[p]) {
-                        *w |= a;
-                    }
-                    bits[p / 64] |= 1 << (p % 64);
-                }
-                ancestors.push(bits);
-            }
-            GraphChecker {
-                ancestors,
-                done: Mutex::new(Vec::new()),
-            }
-        }
-
-        fn ordered(&self, a: usize, b: usize) -> bool {
-            let has = |anc: &[u64], x: usize| anc[x / 64] >> (x % 64) & 1 == 1;
-            has(&self.ancestors[b], a) || has(&self.ancestors[a], b)
-        }
-
-        /// Starts recording block `block` on the current thread; the
-        /// returned guard commits and checks the write set on drop.
-        pub fn guard(&self, block: usize) -> GraphGuard<'_> {
-            ACTIVE.with(|a| {
-                let mut a = a.borrow_mut();
-                debug_assert!(a.is_none(), "nested overlap-checker blocks");
-                *a = Some(BlockWrites {
-                    block,
-                    per_storage: Vec::new(),
-                });
-            });
-            GraphGuard { checker: self }
-        }
-
-        fn commit(&self, mut writes: BlockWrites) {
-            for (_, _, intervals) in &mut writes.per_storage {
-                normalize(intervals);
-            }
-            let mut done = self.done.lock().unwrap();
-            for prior in done.iter() {
-                if self.ordered(prior.block, writes.block) {
-                    continue;
-                }
-                for (id, _, intervals) in &writes.per_storage {
-                    for (pid, _, prior_intervals) in &prior.per_storage {
-                        if pid != id {
-                            continue;
-                        }
-                        if let Some((lo, hi)) = intersect(intervals, prior_intervals) {
-                            // Commit order is nondeterministic under
-                            // concurrency; report the pair in block order.
-                            let (a, b) = (
-                                prior.block.min(writes.block),
-                                prior.block.max(writes.block),
-                            );
-                            panic!(
-                                "wavefront overlap: blocks {a} and {b} are \
-                                 unordered by the block dependence graph and \
-                                 both wrote flat extent [{lo}, {hi}] of one \
-                                 allocation — the dependences violate Eq. (3) \
-                                 disjointness"
-                            );
-                        }
-                    }
-                }
-            }
-            done.push(writes);
-        }
-    }
-
-    /// RAII scope of one block's recording (see [`GraphChecker::guard`]).
-    pub struct GraphGuard<'a> {
-        checker: &'a GraphChecker,
-    }
-
-    impl Drop for GraphGuard<'_> {
-        fn drop(&mut self) {
-            let Some(writes) = ACTIVE.with(|a| a.borrow_mut().take()) else {
-                return;
-            };
-            if std::thread::panicking() {
-                return;
-            }
-            self.checker.commit(writes);
-        }
-    }
-
-    /// Whole-batch overlap checker for sweep-batched dataflow runs.
-    ///
-    /// The checked universe is the `sweeps × num_blocks` grid of
-    /// sweep-qualified block executions. Within one sweep the ordering
-    /// relation is the block dependence graph, exactly as in
-    /// [`GraphChecker`]. Across sweeps, block `b` of sweep `s+1` is
-    /// ordered after `{b} ∪ succ(b)` of sweep `s` (the cross-sweep
-    /// dependence pattern of the L/U in-place split), and transitively
-    /// after everything those nodes dominate. Any pair of sweep-qualified
-    /// executions left unordered by that relation may run concurrently
-    /// under the batched drain, so their write intervals must be
-    /// disjoint.
-    ///
-    /// Like [`GraphChecker`], verdicts come from transitive-ancestor
-    /// bitsets computed once per batch, so a bad batched schedule panics
-    /// deterministically at every thread count.
+    /// Verdicts come from transitive-ancestor bitsets computed once per
+    /// drain, so they are deterministic: a bad schedule panics (or
+    /// passes) identically at every thread count, including 1 — unlike
+    /// a temporal check, which would only catch races that happened to
+    /// manifest.
     pub struct SweepChecker {
         /// Blocks per sweep (node id = `sweep * n_blocks + block`).
         n_blocks: usize,
+        /// Sweeps in the drain.
+        sweeps: usize,
         /// `ancestors[node]` bit `p` set iff node `p` transitively
         /// precedes `node`. Node ids ascend topologically: intra-sweep
         /// predecessors have lower block index, cross-sweep predecessors
@@ -939,7 +842,7 @@ pub mod overlap {
     }
 
     impl SweepChecker {
-        /// A fresh checker for one batch of `sweeps` identical sweeps
+        /// A fresh checker for one drain of `sweeps` identical sweeps
         /// over `graph`.
         pub fn new(graph: &instencil_pattern::dataflow::BlockGraph, sweeps: usize) -> Self {
             let n = graph.num_blocks();
@@ -970,6 +873,7 @@ pub mod overlap {
             }
             SweepChecker {
                 n_blocks: n,
+                sweeps,
                 ancestors,
                 done: Mutex::new(Vec::new()),
             }
@@ -1014,22 +918,30 @@ pub mod overlap {
                                 prior.block.min(writes.block),
                                 prior.block.max(writes.block),
                             );
-                            let n = self.n_blocks;
                             panic!(
-                                "sweep-batch overlap: block {} of sweep {} and \
-                                 block {} of sweep {} are unordered by the \
-                                 sweep-extended dependence graph and both wrote \
-                                 flat extent [{lo}, {hi}] of one allocation",
-                                a % n,
-                                a / n,
-                                b % n,
-                                b / n,
+                                "wavefront overlap: blocks {} and {} are unordered by \
+                                 the dependence graph and both wrote flat extent \
+                                 [{lo}, {hi}] of one allocation — the dependences \
+                                 violate Eq. (3) disjointness",
+                                self.label(a),
+                                self.label(b),
                             );
                         }
                     }
                 }
             }
             done.push(writes);
+        }
+
+        /// A node as `block` for an eager drain, `block (sweep s)` for
+        /// a batch.
+        fn label(&self, node: usize) -> String {
+            let n = self.n_blocks;
+            if self.sweeps == 1 {
+                node.to_string()
+            } else {
+                format!("{} (sweep {})", node % n, node / n)
+            }
         }
     }
 
@@ -1113,27 +1025,7 @@ pub mod overlap {
         }
     }
 
-    /// No-op stand-in for the debug dataflow checker.
-    pub struct GraphChecker;
-
-    /// No-op guard.
-    pub struct GraphGuard;
-
-    impl GraphChecker {
-        /// A fresh (no-op) checker.
-        #[inline]
-        pub fn new(_graph: &instencil_pattern::dataflow::BlockGraph) -> Self {
-            Self
-        }
-
-        /// No-op block scope.
-        #[inline]
-        pub fn guard(&self, _block: usize) -> GraphGuard {
-            GraphGuard
-        }
-    }
-
-    /// No-op stand-in for the debug sweep-batch checker.
+    /// No-op stand-in for the debug graph-drain checker.
     pub struct SweepChecker;
 
     /// No-op guard.
@@ -1357,5 +1249,40 @@ mod tests {
             assert_eq!(b.load(&[0, j]), j as f64);
             assert_eq!(b.load(&[1, j]), -(j as f64));
         }
+    }
+
+    #[test]
+    fn max_delta_of_an_all_nan_field_is_nan() {
+        let b = BufferView::alloc(&[4, 4]);
+        b.fill(f64::NAN);
+        let mut prev = vec![0.0; 16];
+        assert!(b.max_delta_update(&mut prev).is_nan());
+        // Refreshed to NaN, the next check still reads NaN.
+        assert!(b.max_delta_update(&mut prev).is_nan());
+    }
+
+    #[test]
+    fn one_nan_cell_poisons_an_otherwise_converged_field() {
+        let b = BufferView::alloc(&[4, 4]);
+        b.fill(1.0);
+        let mut prev = b.to_vec();
+        assert_eq!(
+            b.max_delta_update(&mut prev),
+            0.0,
+            "unchanged field has delta 0"
+        );
+        b.store(&[2, 1], f64::NAN);
+        assert!(b.max_delta_update(&mut prev).is_nan());
+    }
+
+    #[test]
+    fn nan_survives_the_chunk_partial_fold() {
+        // The NaN sits in the first of several 1024-element chunks, so
+        // it must survive the merge with later finite partial maxima.
+        let b = BufferView::alloc(&[3, 1024]);
+        b.fill(2.0);
+        b.store(&[0, 5], f64::NAN);
+        let mut prev = vec![1.0; 3 * 1024];
+        assert!(b.max_delta_update(&mut prev).is_nan());
     }
 }

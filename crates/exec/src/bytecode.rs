@@ -29,8 +29,7 @@ use std::sync::{Arc, Mutex};
 use instencil_ir::{CmpPred, Module};
 use instencil_obs::trace::{self, TraceKind};
 use instencil_obs::Obs;
-use instencil_pattern::dataflow::{self, Scheduler};
-use instencil_pattern::CsrWavefronts;
+use instencil_pattern::dataflow::{self, ScheduleBundle, Scheduler};
 
 use crate::buffer::BufferView;
 use crate::compile::{compile_program, BcCompileError, BcOptions};
@@ -57,7 +56,8 @@ pub(crate) enum Reg {
     },
     /// Buffer view slot.
     B(u32),
-    /// Immutable `i64` array slot (CSR schedules).
+    /// Schedule-handle slot (`tensor<?xi64>` values: the results of
+    /// `cfd.get_parallel_blocks`).
     A(u32),
 }
 
@@ -361,7 +361,8 @@ pub(crate) enum RKind {
     Bool,
     Vec(u32),
     Buf,
-    Arr,
+    /// A schedule handle ([`RtVal::Schedule`]).
+    Schedule,
 }
 
 /// One compiled single-block region: an instruction tape plus the
@@ -412,7 +413,7 @@ pub(crate) struct Regs {
     pub(crate) i: Vec<i64>,
     pub(crate) v: Vec<f64>,
     pub(crate) b: Vec<Option<BufferView>>,
-    a: Vec<Option<Arc<Vec<i64>>>>,
+    a: Vec<Option<Arc<ScheduleBundle>>>,
     /// Reusable index scratch for scalar/vector memory access (no
     /// per-point allocation).
     scratch: Vec<i64>,
@@ -455,10 +456,16 @@ impl Regs {
             .ok_or_else(|| ExecError::new("use of unset buffer register"))
     }
 
-    fn arr(&self, slot: u32) -> Result<&Arc<Vec<i64>>, ExecError> {
-        self.a[slot as usize]
-            .as_ref()
-            .ok_or_else(|| ExecError::new("use of unset i64-array register"))
+    /// The schedule handle `scf.execute_wavefronts` runs: its `rows`
+    /// and `cols` registers must hold the pair one
+    /// `cfd.get_parallel_blocks` minted.
+    fn schedule(&self, rows: u32, cols: u32) -> Result<Arc<ScheduleBundle>, ExecError> {
+        match (&self.a[rows as usize], &self.a[cols as usize]) {
+            (Some(r), Some(c)) if Arc::ptr_eq(r, c) => Ok(Arc::clone(r)),
+            _ => Err(ExecError::new(
+                "execute_wavefronts needs one schedule's rows/cols registers",
+            )),
+        }
     }
 
     fn set_rtval(&mut self, reg: Reg, kind: RKind, val: RtVal) -> Result<(), ExecError> {
@@ -473,7 +480,7 @@ impl Regs {
                 self.v[off as usize..(off + lanes) as usize].copy_from_slice(&x);
             }
             (RKind::Buf, Reg::B(d), RtVal::Buf(b)) => self.b[d as usize] = Some(b),
-            (RKind::Arr, Reg::A(d), RtVal::I64Arr(a)) => self.a[d as usize] = Some(a),
+            (RKind::Schedule, Reg::A(d), RtVal::Schedule(a)) => self.a[d as usize] = Some(a),
             (_, _, other) => {
                 return Err(ExecError::new(format!(
                     "argument kind mismatch: got {other:?}"
@@ -496,10 +503,10 @@ impl Regs {
                     .clone()
                     .ok_or_else(|| ExecError::new("unset buffer result"))?,
             ),
-            (RKind::Arr, Reg::A(s)) => RtVal::I64Arr(
+            (RKind::Schedule, Reg::A(s)) => RtVal::Schedule(
                 self.a[s as usize]
                     .clone()
-                    .ok_or_else(|| ExecError::new("unset array result"))?,
+                    .ok_or_else(|| ExecError::new("unset schedule result"))?,
             ),
             (k, r) => return Err(ExecError::new(format!("result kind mismatch {k:?}/{r:?}"))),
         })
@@ -628,20 +635,7 @@ impl BytecodeEngine {
     /// Fails when the function is missing, arity/kind mismatches, or a
     /// runtime check (division by zero, unset register) trips.
     pub fn call(&mut self, name: &str, args: Vec<RtVal>) -> Result<Vec<RtVal>, ExecError> {
-        let fi = self
-            .program
-            .lookup(name)
-            .ok_or_else(|| ExecError::new(format!("no function `{name}`")))?;
-        let ctx = BcCtx {
-            program: &self.program,
-            pool: WavefrontPool::with_opts(self.threads, self.obs.clone(), self.scheduler),
-            scratch: &self.scratch_pool,
-        };
-        let mut stats = ExecStats::default();
-        let out = ctx.call(fi, args, &mut stats);
-        // Merge even on error so partially executed work is accounted.
-        self.stats.merge(&stats);
-        out
+        self.call_sweeps(name, args, 1)
     }
 
     /// Calls a compiled function `sweeps` times over the same arguments
@@ -651,14 +645,13 @@ impl BytecodeEngine {
     /// place through the shared views; statistics match too), but block
     /// `b` of sweep `s+1` starts as soon as its lex-forward neighborhood
     /// of sweep `s` retires — the per-call fixed costs (frame setup,
-    /// pool construction, prefix re-execution, schedule lookup) are paid
-    /// once per batch instead of once per sweep.
+    /// pool construction, prefix re-execution) are paid once per batch
+    /// instead of once per sweep.
     ///
     /// Batching requires the entry tape to be a *pure prefix* (register
     /// arithmetic, views, `cfd.get_parallel_blocks`) ending in exactly
-    /// one `scf.execute_wavefronts`; any other shape — or a schedule not
-    /// minted by the bundle cache — falls back to eager calls and
-    /// reports a `sweep-batch-fallback` obs event.
+    /// one `scf.execute_wavefronts`; any other shape falls back to eager
+    /// calls and reports a `sweep-batch-fallback` obs event.
     ///
     /// # Errors
     /// As [`Self::call`]; the first failing sweep aborts the batch.
@@ -671,14 +664,11 @@ impl BytecodeEngine {
         if sweeps == 0 {
             return Err(ExecError::new("sweep batch needs at least one sweep"));
         }
-        if sweeps == 1 {
-            return self.call(name, args);
-        }
         let fi = self
             .program
             .lookup(name)
             .ok_or_else(|| ExecError::new(format!("no function `{name}`")))?;
-        if batchable_wavefronts(&self.program.funcs[fi]).is_none() {
+        if sweeps > 1 && batchable_wavefronts(&self.program.funcs[fi]).is_none() {
             self.obs
                 .event("sweep-batch-fallback", "entry tape is not a pure wavefront sweep");
             let mut out = Vec::new();
@@ -693,7 +683,8 @@ impl BytecodeEngine {
             scratch: &self.scratch_pool,
         };
         let mut stats = ExecStats::default();
-        let out = ctx.call_batched(fi, args, sweeps, &mut stats);
+        let out = ctx.call(fi, args, sweeps, &mut stats);
+        // Merge even on error so partially executed work is accounted.
         self.stats.merge(&stats);
         out
     }
@@ -763,10 +754,17 @@ struct BcCtx<'p> {
 }
 
 impl BcCtx<'_> {
+    /// One frame of `func`: `sweeps == 1` runs the entry tape; a batch
+    /// runs its pure prefix once (accounting the prefix statistics
+    /// `sweeps` times, matching what eager re-execution would have
+    /// counted), then drains the trailing `scf.execute_wavefronts` as
+    /// one `sweeps`-deep graph drain. The caller has verified a batch's
+    /// shape via [`batchable_wavefronts`].
     fn call(
         &self,
         fi: usize,
         args: Vec<RtVal>,
+        sweeps: usize,
         stats: &mut ExecStats,
     ) -> Result<Vec<RtVal>, ExecError> {
         let func = &self.program.funcs[fi];
@@ -790,65 +788,21 @@ impl BcCtx<'_> {
         for ((kind, reg), val) in func.args.iter().zip(args) {
             regs.set_rtval(*reg, *kind, val)?;
         }
-        let run = self.run_tape(func, 0, &mut regs, stats);
-        self.scratch
-            .lock()
-            .unwrap()
-            .push(std::mem::take(&mut regs.rs));
-        run?;
-        func.tapes[0]
-            .term
-            .iter()
-            .zip(&func.results)
-            .map(|(&r, &k)| regs.get_rtval(r, k))
-            .collect()
-    }
-
-    /// One frame driving `sweeps` fused wavefront sweeps: runs the pure
-    /// prefix of the entry tape once (accounting its statistics `sweeps`
-    /// times, matching what eager re-execution would have counted), then
-    /// drains the trailing `scf.execute_wavefronts` through the
-    /// sweep-extended graph. The caller has verified the shape via
-    /// [`batchable_wavefronts`].
-    fn call_batched(
-        &self,
-        fi: usize,
-        args: Vec<RtVal>,
-        sweeps: usize,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<RtVal>, ExecError> {
-        let func = &self.program.funcs[fi];
-        if args.len() != func.args.len() {
-            return Err(ExecError::new(format!(
-                "`{}` expects {} args, got {}",
-                func.name,
-                func.args.len(),
-                args.len()
-            )));
-        }
-        let (rows, cols, block, body) =
-            batchable_wavefronts(func).expect("caller checked batchability");
-        let _tracer = trace::install(self.pool.obs().worker_tracer(trace::DRIVER));
-        let mut regs = Regs::new(func);
-        if let Some(rs) = self.scratch.lock().unwrap().pop() {
-            regs.rs = rs;
-        }
-        for ((kind, reg), val) in func.args.iter().zip(args) {
-            regs.set_rtval(*reg, *kind, val)?;
-        }
-        // The prefix is pure, so its single execution computes the same
-        // registers every eager call would have; its stats merge ×k so
-        // counters stay batching-invariant.
-        let mut prefix_stats = ExecStats::default();
-        let prefix_len = func.tapes[0].code.len() - 1;
-        let run = self
-            .run_tape_prefix(func, 0, prefix_len, &mut regs, &mut prefix_stats)
-            .and_then(|()| {
-                for _ in 0..sweeps {
-                    stats.merge(&prefix_stats);
-                }
-                self.exec_wavefronts_batched(func, rows, cols, block, body, sweeps, &mut regs, stats)
-            });
+        let run = if sweeps == 1 {
+            self.run_tape(func, 0, &mut regs, stats)
+        } else {
+            let (rows, cols, block, body) =
+                batchable_wavefronts(func).expect("caller checked batchability");
+            let mut prefix_stats = ExecStats::default();
+            let prefix_len = func.tapes[0].code.len() - 1;
+            self.run_tape_prefix(func, 0, prefix_len, &mut regs, &mut prefix_stats)
+                .and_then(|()| {
+                    for _ in 0..sweeps {
+                        stats.merge(&prefix_stats);
+                    }
+                    self.exec_wavefronts(func, rows, cols, block, body, sweeps, &mut regs, stats)
+                })
+        };
         self.scratch
             .lock()
             .unwrap()
@@ -1084,7 +1038,7 @@ impl BcCtx<'_> {
                     block,
                     body,
                 } => {
-                    self.exec_wavefronts(func, *rows, *cols, *block, *body, regs, stats)?;
+                    self.exec_wavefronts(func, *rows, *cols, *block, *body, 1, regs, stats)?;
                 }
                 Instr::GetParallelBlocks {
                     dims,
@@ -1097,16 +1051,15 @@ impl BcCtx<'_> {
                         .map(|&r| regs.i[r as usize].max(1) as usize)
                         .collect();
                     let mut span = self.pool.obs().span("run:schedule");
-                    // Cached per (grid, deps) process-wide; the Arc
-                    // identity of `cols` lets `exec_wavefronts` recover
-                    // the dependence graph for dataflow mode.
+                    // Cached per (grid, deps) process-wide; both result
+                    // registers hold the handle `exec_wavefronts` runs.
                     let bundle = dataflow::schedule_bundle(&grid, deps.as_ref());
                     span.note("levels", bundle.csr.num_levels() as i64);
                     span.note("blocks", grid.iter().product::<usize>() as i64);
                     drop(span);
                     stats.schedules_computed += 1;
-                    regs.a[*rows as usize] = Some(Arc::clone(&bundle.rows));
-                    regs.a[*cols as usize] = Some(Arc::clone(&bundle.cols));
+                    regs.a[*rows as usize] = Some(Arc::clone(&bundle));
+                    regs.a[*cols as usize] = Some(bundle);
                 }
                 Instr::Call {
                     func: callee_idx,
@@ -1376,164 +1329,19 @@ impl BcCtx<'_> {
         true
     }
 
-    /// `scf.execute_wavefronts`: sequential over levels, parallel within
-    /// one — mirrors the interpreter exactly, including how statistics
-    /// are attributed (the coordinator counts levels once; workers count
-    /// the blocks they run in private frames that are merged here).
+    /// `sweeps` back-to-back executions of one `scf.execute_wavefronts`
+    /// (1 for an eager call), as one [`WavefrontPool::try_execute`] —
+    /// mirrors the interpreter exactly, including how statistics are
+    /// attributed: the coordinator counts levels once per sweep whatever
+    /// the scheduler; workers count the blocks they run in private
+    /// frames that are merged here.
+    ///
+    /// Never inlined: the pool drains it instantiates would otherwise
+    /// land in [`Self::run_tape_prefix`], the hot per-block dispatch
+    /// loop, and cost a measured ~10% on batched SOR sweeps.
     #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
     fn exec_wavefronts(
-        &self,
-        func: &BcFunc,
-        rows: u32,
-        cols: u32,
-        block: u32,
-        body: u32,
-        regs: &mut Regs,
-        stats: &mut ExecStats,
-    ) -> Result<(), ExecError> {
-        let rows = Arc::clone(regs.arr(rows)?);
-        let cols = Arc::clone(regs.arr(cols)?);
-        // Dataflow mode recovers the dependence graph from the Arc
-        // identity of `cols` (minted by `Instr::GetParallelBlocks` via
-        // the schedule-bundle cache); a miss falls back to levels. The
-        // path is taken at one thread too: the inline dataflow sweep
-        // walks blocks in flat ascending order with no CSR level
-        // indirection, which is strictly cheaper than the level-major
-        // walk below.
-        if self.pool.scheduler() == Scheduler::Dataflow {
-            if let Some(bundle) = dataflow::lookup_by_cols(&cols) {
-                // Levels are still counted from the CSR row pointer so
-                // statistics stay scheduler-invariant.
-                stats.wavefront_levels += (rows.len() - 1) as u64;
-                let base: &Regs = regs;
-                return self.pool.try_execute_bundle(
-                    &bundle,
-                    || {
-                        let mut r = base.clone();
-                        if let Some(rs) = self.scratch.lock().unwrap().pop() {
-                            r.rs = rs;
-                        }
-                        (r, ExecStats::default())
-                    },
-                    |state: &mut (Regs, ExecStats), b| {
-                        let (worker_regs, worker_stats) = state;
-                        worker_stats.blocks_executed += 1;
-                        worker_regs.i[block as usize] = b as i64;
-                        self.run_tape(func, body, worker_regs, worker_stats)
-                    },
-                    |(mut worker_regs, worker_stats)| {
-                        self.scratch
-                            .lock()
-                            .unwrap()
-                            .push(std::mem::take(&mut worker_regs.rs));
-                        stats.merge(&worker_stats);
-                    },
-                );
-            }
-            self.pool
-                .obs()
-                .event("dataflow-fallback", "cols not from schedule cache");
-        }
-        if self.pool.threads() == 1 {
-            let obs = self.pool.obs();
-            let record = obs.enabled();
-            let detail = obs.detail_enabled();
-            let _tg = trace::install(obs.worker_tracer(0));
-            let mut level_records = Vec::new();
-            let mut outcome = Ok(());
-            'levels: for (index, level) in rows.windows(2).enumerate() {
-                let checker = crate::buffer::overlap::LevelChecker::new();
-                let t0 = record.then(std::time::Instant::now);
-                let ts = trace::begin();
-                let mut done = 0u64;
-                stats.wavefront_levels += 1;
-                for &c in &cols[level[0] as usize..level[1] as usize] {
-                    stats.blocks_executed += 1;
-                    done += 1;
-                    regs.i[block as usize] = c;
-                    let _wg = checker.guard(c as usize);
-                    if let Err(e) = self.run_tape(func, body, regs, stats) {
-                        outcome = Err(e);
-                        break;
-                    }
-                }
-                if done > 0 {
-                    trace::end(TraceKind::Task, ts, index as u32, done as u32);
-                }
-                if let Some(t0) = t0 {
-                    let wall_ns = t0.elapsed().as_nanos() as u64;
-                    level_records.push(instencil_obs::LevelRecord {
-                        index,
-                        blocks: (level[1] - level[0]) as u64,
-                        wall_ns,
-                        workers: if detail {
-                            vec![instencil_obs::WorkerRecord {
-                                busy_ns: wall_ns,
-                                blocks: done,
-                                ..instencil_obs::WorkerRecord::default()
-                            }]
-                        } else {
-                            Vec::new()
-                        },
-                    });
-                }
-                if outcome.is_err() {
-                    break 'levels;
-                }
-            }
-            if record {
-                obs.record_wavefronts(instencil_obs::WavefrontRecord {
-                    threads: 1,
-                    scheduler: Scheduler::Levels.name().to_owned(),
-                    sweeps: 1,
-                    levels: level_records,
-                });
-            }
-            return outcome;
-        }
-        let row_ptr: Vec<usize> = rows.iter().map(|&x| x as usize).collect();
-        let blocks: Vec<usize> = cols.iter().map(|&x| x as usize).collect();
-        let schedule = CsrWavefronts::new(row_ptr, blocks);
-        stats.wavefront_levels += schedule.num_levels() as u64;
-        // Each worker gets a clone of the register files: tape-local
-        // registers are written per block but never read across blocks
-        // (SSA dominance), so discarding the clones afterwards matches
-        // sequential semantics.
-        let base: &Regs = regs;
-        self.pool.try_execute_stateful(
-            &schedule,
-            || {
-                let mut r = base.clone();
-                if let Some(rs) = self.scratch.lock().unwrap().pop() {
-                    r.rs = rs;
-                }
-                (r, ExecStats::default())
-            },
-            |state: &mut (Regs, ExecStats), b| {
-                let (worker_regs, worker_stats) = state;
-                worker_stats.blocks_executed += 1;
-                worker_regs.i[block as usize] = b as i64;
-                self.run_tape(func, body, worker_regs, worker_stats)
-            },
-            |(mut worker_regs, worker_stats)| {
-                self.scratch
-                    .lock()
-                    .unwrap()
-                    .push(std::mem::take(&mut worker_regs.rs));
-                stats.merge(&worker_stats);
-            },
-        )
-    }
-
-    /// `sweeps` fused executions of one `scf.execute_wavefronts`,
-    /// drained dataflow-style through the sweep-extended graph (the
-    /// scheduler knob is ignored: a level barrier would serialize the
-    /// sweeps and defeat the batching; results are order-independent, so
-    /// they are bit-identical either way). Statistics are counted as if
-    /// the sweeps ran eagerly: the level count accrues per sweep and the
-    /// workers count every block they execute.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_wavefronts_batched(
         &self,
         func: &BcFunc,
         rows: u32,
@@ -1544,24 +1352,15 @@ impl BcCtx<'_> {
         regs: &mut Regs,
         stats: &mut ExecStats,
     ) -> Result<(), ExecError> {
-        let row_arr = Arc::clone(regs.arr(rows)?);
-        let col_arr = Arc::clone(regs.arr(cols)?);
-        let Some(bundle) = dataflow::lookup_by_cols(&col_arr) else {
-            // The schedule did not come from the bundle cache (never the
-            // case for `cfd.get_parallel_blocks` output): run the sweeps
-            // eagerly through the ordinary executor.
-            self.pool
-                .obs()
-                .event("sweep-batch-fallback", "cols not from schedule cache");
-            for _ in 0..sweeps {
-                self.exec_wavefronts(func, rows, cols, block, body, regs, stats)?;
-            }
-            return Ok(());
-        };
-        stats.wavefront_levels += (sweeps * (row_arr.len() - 1)) as u64;
+        let schedule = regs.schedule(rows, cols)?;
+        stats.wavefront_levels += (sweeps * schedule.csr.num_levels()) as u64;
+        // Each worker gets a clone of the register files: tape-local
+        // registers are written per block but never read across blocks
+        // (SSA dominance), so discarding the clones afterwards matches
+        // sequential semantics.
         let base: &Regs = regs;
-        self.pool.try_execute_sweep_batch(
-            &bundle,
+        self.pool.try_execute(
+            &schedule,
             sweeps,
             || {
                 let mut r = base.clone();

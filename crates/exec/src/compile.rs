@@ -122,7 +122,7 @@ fn rkind_of(ty: &Type) -> Result<RKind, BcCompileError> {
         Type::I1 => RKind::Bool,
         Type::Vector { len, .. } => RKind::Vec(*len as u32),
         Type::MemRef { .. } => RKind::Buf,
-        Type::Tensor { elem, .. } if **elem == Type::I64 => RKind::Arr,
+        Type::Tensor { elem, .. } if **elem == Type::I64 => RKind::Schedule,
         other => return Err(unsupported(format!("boundary type {other}"))),
     })
 }

@@ -3,9 +3,10 @@
 //! Kernels compiled by `instencil-core` perform one sweep per call and
 //! mutate their argument buffers in place; [`run_sweeps`] drives the
 //! iteration loop (the granularity at which the paper synchronizes
-//! between Gauss-Seidel iterations). [`run_sweeps_threaded`] does the
-//! same with a wavefront worker count; [`run_compiled_sweeps`] reads the
-//! `threads` and `engine` knobs from the module's [`PipelineOptions`].
+//! between Gauss-Seidel iterations). [`run_sweeps_opts`] does the same
+//! with a wavefront worker count, engine and scheduler;
+//! [`run_compiled_sweeps`] reads those knobs from the module's
+//! [`PipelineOptions`].
 //!
 //! # Engine selection
 //!
@@ -418,44 +419,22 @@ pub fn run_sweeps(
     buffers: &[BufferView],
     iterations: usize,
 ) -> Result<ExecStats, ExecError> {
-    run_sweeps_threaded(module, func, buffers, iterations, 1)
+    run_sweeps_opts(
+        module,
+        func,
+        buffers,
+        iterations,
+        1,
+        Engine::default(),
+        Scheduler::Levels,
+    )
 }
 
-/// [`run_sweeps`] with `scf.execute_wavefronts` levels spread over
-/// `threads` OS threads. Results are bit-identical to `threads == 1`
-/// (sub-domains within a wavefront level are independent), and so are
-/// the returned statistics.
-///
-/// # Errors
-/// Propagates engine failures.
-pub fn run_sweeps_threaded(
-    module: &Module,
-    func: &str,
-    buffers: &[BufferView],
-    iterations: usize,
-    threads: usize,
-) -> Result<ExecStats, ExecError> {
-    run_sweeps_with(module, func, buffers, iterations, threads, Engine::default())
-}
-
-/// [`run_sweeps_threaded`] with an explicit engine choice.
-///
-/// # Errors
-/// Propagates engine failures.
-pub fn run_sweeps_with(
-    module: &Module,
-    func: &str,
-    buffers: &[BufferView],
-    iterations: usize,
-    threads: usize,
-    engine: Engine,
-) -> Result<ExecStats, ExecError> {
-    run_sweeps_opts(module, func, buffers, iterations, threads, engine, Scheduler::Levels)
-}
-
-/// [`run_sweeps_with`] with an explicit wavefront [`Scheduler`]. Results
-/// and statistics are bit-identical across schedulers (enforced by
-/// `tests/engine_equiv.rs`); only wall-clock time changes.
+/// [`run_sweeps`] with `scf.execute_wavefronts` spread over `threads` OS
+/// threads, an explicit engine and an explicit wavefront [`Scheduler`].
+/// Results and statistics are bit-identical across thread counts,
+/// engines and schedulers (enforced by `tests/engine_equiv.rs`); only
+/// wall-clock time changes.
 ///
 /// # Errors
 /// Propagates engine failures.

@@ -10,7 +10,8 @@
 //!   *persistent*: workers are spawned once per run and synchronize on a
 //!   lightweight [`std::sync::Barrier`], not respawned per level.
 //! * **Dataflow** — point-to-point execution of the block dependence
-//!   graph ([`BlockGraph`]), coarsened into [`TaskGraph`] tasks: chains
+//!   graph ([`BlockGraph`]), coarsened into [`TaskGraph`] tasks and
+//!   chained across sweeps into a [`SweepGraph`]: chains
 //!   of consecutive small blocks fuse into single scheduled units so the
 //!   atomic in-degree traffic and deque locking amortize over real work
 //!   (the machine model's [`Machine::dataflow_grain`] picks the fusion
@@ -27,25 +28,32 @@
 //!   predecessor's buffer writes to the successor's execution, replacing
 //!   the barrier's publication role (see `DESIGN.md` §4f/§4g).
 //!
-//! The pool runs closures over *linearized sub-domain indices*. It has
-//! four entry points: [`WavefrontPool::execute`] for stateless workers,
-//! [`WavefrontPool::try_execute_stateful`] (level mode) and
-//! [`WavefrontPool::try_execute_dataflow`] /
-//! [`WavefrontPool::try_execute_bundle`] (graph mode), the stateful ones
-//! giving each worker private state (the interpreter uses this to run
-//! `scf.execute_wavefronts` bodies with a per-thread environment and
-//! statistics frame) and propagating the first error.
+//! The pool runs closures over *linearized sub-domain indices* and has
+//! two drains behind three entry points. [`WavefrontPool::try_execute`]
+//! is the one the engines use: it runs `sweeps` back-to-back executions
+//! of one `scf.execute_wavefronts` over a [`ScheduleBundle`], sending an
+//! eager levels call to the barrier drain and everything else to the
+//! graph drain — an eager dataflow call is a sweep batch of one.
+//! [`WavefrontPool::try_execute_stateful`] is the barrier drain itself
+//! over a bare [`CsrWavefronts`], and [`WavefrontPool::execute`] its
+//! stateless form. The stateful entry points give each worker private
+//! state (the engines run `scf.execute_wavefronts` bodies with a
+//! per-thread environment and statistics frame) and propagate the
+//! first error.
+//!
+//! [`TaskGraph`]: instencil_pattern::dataflow::TaskGraph
+//! [`SweepGraph`]: instencil_pattern::dataflow::SweepGraph
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, OnceLock};
+use std::sync::{Barrier, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use instencil_machine::topology::{xeon_6152_dual, Machine};
 use instencil_obs::trace::{self, TraceKind};
 use instencil_obs::{LevelRecord, Obs, WavefrontRecord, WorkerRecord};
-use instencil_pattern::dataflow::{shard_owner, BlockGraph, ScheduleBundle, Scheduler, TaskGraph};
+use instencil_pattern::dataflow::{shard_owner, BlockGraph, ScheduleBundle, Scheduler};
 use instencil_pattern::CsrWavefronts;
 
 use crate::buffer::overlap;
@@ -80,11 +88,12 @@ struct WorkerStats {
     fused: u64,
 }
 
-/// The process-default machine model (the paper's evaluation platform);
-/// used when a pool is built without an explicit [`Machine`].
-fn default_machine() -> Arc<Machine> {
-    static MODEL: OnceLock<Arc<Machine>> = OnceLock::new();
-    Arc::clone(MODEL.get_or_init(|| Arc::new(xeon_6152_dual())))
+/// The machine model every pool schedules against (the paper's
+/// evaluation platform): it picks the coarsening grain and the steal
+/// order.
+fn machine() -> &'static Machine {
+    static MODEL: OnceLock<Machine> = OnceLock::new();
+    MODEL.get_or_init(xeon_6152_dual)
 }
 
 /// A scoped thread pool executing wavefront schedules.
@@ -93,40 +102,22 @@ pub struct WavefrontPool {
     threads: usize,
     obs: Obs,
     scheduler: Scheduler,
-    machine: Arc<Machine>,
 }
 
 impl WavefrontPool {
     /// Creates a pool with the given number of worker threads (minimum 1).
     pub fn new(threads: usize) -> Self {
-        Self::with_obs(threads, Obs::off())
+        Self::with_opts(threads, Obs::off(), Scheduler::Levels)
     }
 
-    /// Creates a pool that records per-level (and, at
-    /// [`instencil_obs::ObsLevel::Trace`], per-worker) timings into `obs`.
-    pub fn with_obs(threads: usize, obs: Obs) -> Self {
-        Self::with_opts(threads, obs, Scheduler::Levels)
-    }
-
-    /// Creates a pool with an explicit scheduler mode, on the default
-    /// machine model.
+    /// Creates a pool with an explicit scheduler mode that records
+    /// per-level (and, at [`instencil_obs::ObsLevel::Trace`], per-worker)
+    /// timings into `obs`.
     pub fn with_opts(threads: usize, obs: Obs, scheduler: Scheduler) -> Self {
-        Self::with_machine(threads, obs, scheduler, default_machine())
-    }
-
-    /// Creates a pool whose steal order and coarsening grain derive
-    /// from an explicit [`Machine`] topology.
-    pub fn with_machine(
-        threads: usize,
-        obs: Obs,
-        scheduler: Scheduler,
-        machine: Arc<Machine>,
-    ) -> Self {
         WavefrontPool {
             threads: threads.max(1),
             obs,
             scheduler,
-            machine,
         }
     }
 
@@ -135,19 +126,9 @@ impl WavefrontPool {
         self.threads
     }
 
-    /// The machine topology this pool schedules against.
-    pub fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
     /// The observability collector this pool reports into.
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// The scheduler mode this pool runs under.
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
     }
 
     /// Executes `work` for every scheduled sub-domain, level by level.
@@ -418,358 +399,88 @@ impl WavefrontPool {
         }
     }
 
-    /// The coarsening grain for `graph` under this pool's machine model
-    /// and worker count.
+    /// The coarsening grain for `graph` under the machine model and this
+    /// pool's worker count.
     fn grain_for(&self, graph: &BlockGraph) -> usize {
         let inner = graph.grid().last().copied().unwrap_or(1);
-        self.machine.dataflow_grain(graph.num_blocks(), inner, self.threads)
+        machine().dataflow_grain(graph.num_blocks(), inner, self.threads)
     }
 
-    /// Executes a fallible `work` closure over every block of `graph`
-    /// in dataflow order: each block runs as soon as all its
-    /// predecessors have finished, with no level barriers.
+    /// Executes `sweeps` back-to-back runs of one `scf.execute_wavefronts`
+    /// over `bundle`, calling `work(state, sweep, block)` for every
+    /// block of every sweep. This is the entry point both engines use.
     ///
-    /// The graph is first coarsened into a [`TaskGraph`] at the
-    /// machine-derived grain; prefer
-    /// [`try_execute_bundle`](Self::try_execute_bundle) when a
-    /// [`ScheduleBundle`] is at hand (it memoizes the coarsened graph
-    /// across sweeps).
+    /// An eager call (`sweeps == 1`) under [`Scheduler::Levels`] takes
+    /// the barrier drain ([`try_execute_stateful`](Self::try_execute_stateful)
+    /// over `bundle.csr`); everything else — eager dataflow and every
+    /// batch — takes the graph drain, where an eager call is simply a
+    /// batch of one sweep. A batch never takes the barrier drain: a
+    /// level barrier would serialize the sweeps and defeat the batching.
+    ///
+    /// The graph drain runs the sweep-extended dependence graph
+    /// [`instencil_pattern::dataflow::SweepGraph`], coarsened into tasks
+    /// at the machine-derived grain and memoized in the bundle: node
+    /// `(s, t)` is task `t` of sweep `s`, with the intra-sweep task edges
+    /// plus cross-sweep edges from `{t} ∪ pred(t)` of sweep `s` into
+    /// `(s+1, ·)` — block `b` of sweep `s+1` may start as soon as its
+    /// own lex-forward neighborhood of sweep `s` has retired. Blocks of
+    /// a task run in ascending flat order. Results are bit-identical to
+    /// running the sweeps back-to-back under levels (see `DESIGN.md`
+    /// §4g/§4j).
+    ///
+    /// At one thread the drain keeps the first task each retirement
+    /// readies *in hand* and decrements cross-sweep successors before
+    /// intra-sweep ones, so execution descends the temporal diagonal
+    /// `(t, s) → (t', s+1)` while the stripe is cache-resident.
+    /// Multi-thread, worker `w` owns a deque of ready nodes, sharded by
+    /// *task index* ([`shard_owner`]) so every sweep of a stripe stays on
+    /// one core. Finishing a node decrements each successor's in-degree
+    /// (`fetch_sub(1, AcqRel)`); the worker that takes an in-degree to
+    /// zero keeps the first readied node in hand (work-first) and routes
+    /// the surplus to the owners' deques. An idle worker drains its own
+    /// deque from the back (LIFO), then steals from the front of its
+    /// peers' deques in the machine's NUMA-near-first order, then backs
+    /// off — [`SPIN_ROUNDS`] yields, then exponential sleep capped at
+    /// [`MAX_PARK_US`]. The atomic read-modify-write chain on the
+    /// in-degree carries the happens-before edge from every
+    /// predecessor's buffer writes to the successor, replacing the level
+    /// barrier. In debug builds every buffer store is checked against
+    /// the write intervals of unordered nodes ([`overlap::SweepChecker`]).
     ///
     /// State and merge semantics match
     /// [`try_execute_stateful`](Self::try_execute_stateful); under
-    /// concurrency "first error" is the first one *observed*, which is
-    /// deterministic only at one thread.
-    ///
-    /// # Errors
-    /// Returns the first observed error produced by `work`.
-    ///
-    /// # Panics
-    /// Propagates panics from worker closures (original payload).
-    pub fn try_execute_dataflow<S, E, I, W, M>(
-        &self,
-        graph: &BlockGraph,
-        init: I,
-        work: W,
-        merge: M,
-    ) -> Result<(), E>
-    where
-        S: Send,
-        E: Send,
-        I: Fn() -> S + Sync,
-        W: Fn(&mut S, usize) -> Result<(), E> + Sync,
-        M: FnMut(S),
-    {
-        let tasks = TaskGraph::build(graph, self.grain_for(graph));
-        self.try_execute_tasks(graph, &tasks, init, work, merge)
-    }
-
-    /// Dataflow execution through a [`ScheduleBundle`]: like
-    /// [`try_execute_dataflow`](Self::try_execute_dataflow) but the
-    /// coarsened task graph comes from the bundle's per-grain memo, so
-    /// solver iterations re-running the same schedule do not rebuild it.
-    ///
-    /// # Errors
-    /// Returns the first observed error produced by `work`.
-    pub fn try_execute_bundle<S, E, I, W, M>(
-        &self,
-        bundle: &ScheduleBundle,
-        init: I,
-        work: W,
-        merge: M,
-    ) -> Result<(), E>
-    where
-        S: Send,
-        E: Send,
-        I: Fn() -> S + Sync,
-        W: Fn(&mut S, usize) -> Result<(), E> + Sync,
-        M: FnMut(S),
-    {
-        let tasks = bundle.task_graph(self.grain_for(&bundle.graph));
-        self.try_execute_tasks(&bundle.graph, &tasks, init, work, merge)
-    }
-
-    /// The dataflow engine proper, over a coarsened task partition.
-    ///
-    /// Worker `w` owns a deque of ready *tasks* (each a chain of up to
-    /// `grain` consecutive blocks, executed in ascending flat order).
-    /// Finishing a task decrements each successor task's in-degree
-    /// (`fetch_sub(1, AcqRel)`); the worker that takes an in-degree to
-    /// zero routes the newly-ready task: the first one is kept in hand
-    /// (work-first — never go idle while shipping work away; it is also
-    /// the lexicographically smallest, whose recurrence stripe this
-    /// worker just touched), surplus tasks go to their *owner*'s deque,
-    /// where ownership is the stable contiguous shard map
-    /// ([`shard_owner`]) that also seeded the roots. An idle worker
-    /// first drains its own deque from the back (LIFO keeps the
-    /// footprint warm), then steals from the front of its peers' deques
-    /// in the machine's NUMA-near-first rotated order, then backs off —
-    /// [`SPIN_ROUNDS`] yields, then exponential sleep capped at
-    /// [`MAX_PARK_US`] — until every task has retired. The atomic
-    /// read-modify-write chain on the in-degree carries the
-    /// happens-before edge from every predecessor's buffer writes to
-    /// the successor's execution, replacing the level barrier
-    /// (DESIGN.md §4g).
-    fn try_execute_tasks<S, E, I, W, M>(
-        &self,
-        graph: &BlockGraph,
-        tasks: &TaskGraph,
-        init: I,
-        work: W,
-        mut merge: M,
-    ) -> Result<(), E>
-    where
-        S: Send,
-        E: Send,
-        I: Fn() -> S + Sync,
-        W: Fn(&mut S, usize) -> Result<(), E> + Sync,
-        M: FnMut(S),
-    {
-        let n = graph.num_blocks();
-        if n == 0 {
-            return Ok(());
-        }
-        let record = self.obs.enabled();
-        let detail = self.obs.detail_enabled();
-        let checker = overlap::GraphChecker::new(graph);
-        if self.threads == 1 {
-            // Ascending flat order is a topological order: every
-            // predecessor of a block has a smaller flat index (all
-            // dependence offsets are lexicographically negative).
-            let _tg = trace::install(self.obs.worker_tracer(0));
-            let t0 = record.then(Instant::now);
-            let ts = trace::begin();
-            let mut state = init();
-            let mut outcome = Ok(());
-            let mut done = 0u64;
-            for b in 0..n {
-                let _wg = checker.guard(b);
-                done += 1;
-                if let Err(e) = work(&mut state, b) {
-                    outcome = Err(e);
-                    break;
-                }
-            }
-            trace::end(TraceKind::Task, ts, 0, done as u32);
-            merge(state);
-            if let Some(t0) = t0 {
-                self.flush_dataflow(
-                    1,
-                    n,
-                    1,
-                    t0.elapsed().as_nanos() as u64,
-                    detail.then(|| {
-                        vec![WorkerStats {
-                            busy_ns: t0.elapsed().as_nanos() as u64,
-                            blocks: done,
-                            ..WorkerStats::default()
-                        }]
-                    }),
-                );
-            }
-            return outcome;
-        }
-
-        // No point spawning more workers than tasks: the surplus would
-        // only spin on empty deques until the run retires.
-        let n_tasks = tasks.num_tasks();
-        let threads = self.threads.min(n_tasks);
-        let indeg: Vec<AtomicU32> =
-            (0..n_tasks).map(|t| AtomicU32::new(tasks.in_degree(t))).collect();
-        let remaining = AtomicUsize::new(n_tasks);
-        let deques: Vec<Mutex<std::collections::VecDeque<u32>>> = (0..threads)
-            .map(|_| Mutex::new(std::collections::VecDeque::new()))
-            .collect();
-        // Seed each worker's deque with its own contiguous shard of the
-        // ready roots (task indices ascend with flat block order, so
-        // shard neighbors are lexicographic neighbors).
-        for r in tasks.roots() {
-            deques[shard_owner(r as usize, n_tasks, threads)]
-                .lock()
-                .unwrap()
-                .push_back(r);
-        }
-        // NUMA-near-first rotated peer scan per worker, from the model.
-        let steal_orders: Vec<Vec<usize>> =
-            (0..threads).map(|w| self.machine.steal_order(w, threads)).collect();
-        let abort = AtomicBool::new(false);
-        let panic_slot: Mutex<Option<PanicPayload>> = Mutex::new(None);
-        let first_err: Mutex<Option<E>> = Mutex::new(None);
-        let init = &init;
-        let work = &work;
-        let checker = &checker;
-        let steal_orders = &steal_orders;
-
-        let worker_loop = |w: usize| -> (S, WorkerStats) {
-            let _tg = trace::install(self.obs.worker_tracer(w as u32));
-            let mut state = init();
-            let mut my_next: Option<u32> = None;
-            let mut st = WorkerStats::default();
-            let mut idle_rounds = 0u32;
-            loop {
-                if abort.load(Ordering::Acquire) {
-                    break;
-                }
-                // Local first: the task kept in hand, then the back of
-                // the own deque (LIFO keeps the footprint warm).
-                let mut task = my_next
-                    .take()
-                    .or_else(|| deques[w].lock().unwrap().pop_back());
-                if task.is_none() {
-                    // Steal from the front of a peer's deque (FIFO:
-                    // take the work its owner would reach last),
-                    // nearest peers first.
-                    for (dist, &other) in steal_orders[w].iter().enumerate() {
-                        if let Some(t) = deques[other].lock().unwrap().pop_front() {
-                            st.steals += 1;
-                            st.steal_dist += dist as u64 + 1;
-                            trace::instant(TraceKind::Steal, other as u32, dist as u32 + 1);
-                            task = Some(t);
-                            break;
-                        }
-                    }
-                }
-                let Some(t) = task else {
-                    if remaining.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    // Bounded spin, then exponential backoff: an empty
-                    // scan means the pipeline is momentarily narrower
-                    // than the pool, and hammering peer deque locks
-                    // only slows the workers that do hold work.
-                    idle_rounds += 1;
-                    if idle_rounds <= SPIN_ROUNDS {
-                        thread::yield_now();
-                    } else {
-                        let exp = u64::from(idle_rounds - SPIN_ROUNDS).min(6);
-                        let ts = trace::begin();
-                        thread::sleep(Duration::from_micros((1 << exp).min(MAX_PARK_US)));
-                        trace::end(TraceKind::Park, ts, idle_rounds, 0);
-                    }
-                    continue;
-                };
-                idle_rounds = 0;
-                let t = t as usize;
-                let range = tasks.blocks_of(t);
-                let chain = range.len() as u64;
-                let t0 = detail.then(Instant::now);
-                let ts = trace::begin();
-                let mut ran = 0u64;
-                let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), E> {
-                    for b in range {
-                        let _wg = checker.guard(b);
-                        work(&mut state, b)?;
-                        ran += 1;
-                    }
-                    Ok(())
-                }));
-                trace::end(TraceKind::Task, ts, t as u32, ran as u32);
-                match outcome {
-                    Ok(Ok(())) => {
-                        if let Some(t0) = t0 {
-                            st.busy_ns += t0.elapsed().as_nanos() as u64;
-                        }
-                        st.blocks += ran;
-                        st.fused += chain - 1;
-                        // Successors ascend, so the first task this
-                        // worker readies is the lexicographically
-                        // smallest — keep it in hand (work-first);
-                        // route the surplus to its owning worker.
-                        for &s in tasks.successors(t) {
-                            if indeg[s as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                if my_next.is_none() {
-                                    my_next = Some(s);
-                                } else {
-                                    let owner = shard_owner(s as usize, n_tasks, threads);
-                                    deques[owner].lock().unwrap().push_back(s);
-                                }
-                            }
-                        }
-                        remaining.fetch_sub(1, Ordering::Release);
-                    }
-                    Ok(Err(e)) => {
-                        st.blocks += ran;
-                        let mut slot = first_err.lock().unwrap();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        abort.store(true, Ordering::Release);
-                    }
-                    Err(payload) => {
-                        st.blocks += ran;
-                        let mut slot = panic_slot.lock().unwrap();
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                        abort.store(true, Ordering::Release);
-                    }
-                }
-            }
-            (state, st)
-        };
-
-        let t0 = record.then(Instant::now);
-        let mut results: Vec<(S, WorkerStats)> = Vec::with_capacity(threads);
-        thread::scope(|s| {
-            let handles: Vec<_> = (1..threads)
-                .map(|w| s.spawn(move || worker_loop(w)))
-                .collect();
-            results.push(worker_loop(0));
-            for h in handles {
-                results.push(h.join().unwrap_or_else(|p| resume_unwind(p)));
-            }
-        });
-        let wall_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let workers = detail.then(|| results.iter().map(|&(_, st)| st).collect::<Vec<_>>());
-        for (state, ..) in results {
-            merge(state);
-        }
-        if let Some(payload) = panic_slot.into_inner().unwrap() {
-            resume_unwind(payload);
-        }
-        if record {
-            self.flush_dataflow(threads, n, 1, wall_ns, workers);
-        }
-        match first_err.into_inner().unwrap() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Fused execution of `sweeps` identical in-place sweeps as one
-    /// dataflow drain over the sweep-extended dependence graph
-    /// ([`instencil_pattern::dataflow::SweepGraph`]): node `(s, t)` is
-    /// task `t` of sweep `s`, with
-    /// the usual intra-sweep task edges plus cross-sweep edges from
-    /// `{t} ∪ pred(t)` of sweep `s` into `(s+1, ·)` — block `b` of
-    /// sweep `s+1` may start as soon as its own lex-forward
-    /// neighborhood of sweep `s` has retired, long before sweep `s`
-    /// finishes. `work` receives `(state, sweep, block)`.
-    ///
-    /// Always drains dataflow-style regardless of the pool's
-    /// [`Scheduler`] knob (a level barrier would serialize the sweeps
-    /// and defeat the batching). At one thread the drain keeps the
-    /// first task each retirement readies *in hand* and decrements
-    /// cross-sweep successors before intra-sweep ones, so execution
-    /// descends the temporal diagonal `(t, s) → (t', s+1)` while the
-    /// stripe's working set is still cache-resident. Multi-thread, the
-    /// eager worker loop is reused with nodes sharded by *task index*
-    /// ([`shard_owner`] over tasks, not nodes), keeping every sweep of
-    /// a stripe on the worker that owns it.
-    ///
-    /// Within a sweep, blocks of a task run in ascending flat order;
-    /// across sweeps the cross edges reproduce the L/U in-place
-    /// dependence pattern, so results are bit-identical to running the
-    /// sweeps back-to-back (see `DESIGN.md` §4j). In debug builds every
-    /// buffer store is checked against the sweep-qualified write
-    /// intervals of concurrent nodes ([`overlap::SweepChecker`]).
+    /// concurrency the graph drain's "first error" is the first one
+    /// *observed*, which is deterministic only at one thread.
     ///
     /// # Errors
     /// Returns the first observed error produced by `work`; remaining
-    /// nodes are abandoned.
+    /// blocks are abandoned.
     ///
     /// # Panics
     /// Propagates panics from worker closures (original payload).
-    pub fn try_execute_sweep_batch<S, E, I, W, M>(
+    pub fn try_execute<S, E, I, W, M>(
+        &self,
+        bundle: &ScheduleBundle,
+        sweeps: usize,
+        init: I,
+        work: W,
+        merge: M,
+    ) -> Result<(), E>
+    where
+        S: Send,
+        E: Send,
+        I: Fn() -> S + Sync,
+        W: Fn(&mut S, usize, usize) -> Result<(), E> + Sync,
+        M: FnMut(S),
+    {
+        if sweeps == 1 && self.scheduler == Scheduler::Levels {
+            return self.try_execute_stateful(&bundle.csr, init, |s, b| work(s, 0, b), merge);
+        }
+        self.drain_graph(bundle, sweeps, init, work, merge)
+    }
+
+    /// The graph drain of [`try_execute`](Self::try_execute).
+    fn drain_graph<S, E, I, W, M>(
         &self,
         bundle: &ScheduleBundle,
         sweeps: usize,
@@ -796,6 +507,9 @@ impl WavefrontPool {
         let record = self.obs.enabled();
         let detail = self.obs.detail_enabled();
         let checker = overlap::SweepChecker::new(graph, sweeps);
+        // Trace sweep tag: 0 for an eager call, `s + 1` for sweep `s` of
+        // a batch.
+        let tag = |sweep: usize| if sweeps == 1 { 0 } else { sweep as u32 + 1 };
 
         if self.threads == 1 {
             // Readies one successor node: the first task a retirement
@@ -835,14 +549,14 @@ impl WavefrontPool {
                 for b in tasks.blocks_of(task) {
                     let _wg = checker.guard(sweep, b);
                     if let Err(e) = work(&mut state, sweep, b) {
-                        trace::end_sweep(TraceKind::Task, ts, task as u32, ran, sweep as u32 + 1);
+                        trace::end_sweep(TraceKind::Task, ts, task as u32, ran, tag(sweep));
                         outcome = Err(e);
                         break 'drain;
                     }
                     ran += 1;
                 }
                 done += u64::from(ran);
-                trace::end_sweep(TraceKind::Task, ts, task as u32, ran, sweep as u32 + 1);
+                trace::end_sweep(TraceKind::Task, ts, task as u32, ran, tag(sweep));
                 // Cross-sweep successors first: with the in-hand
                 // preference this descends the temporal diagonal —
                 // (t, s) hands off to (t', s+1) with t' ≤ t while the
@@ -879,9 +593,8 @@ impl WavefrontPool {
             return outcome;
         }
 
-        // Multi-thread: the eager worker loop over sweep-extended
-        // nodes. Sharding is by *task* so every sweep of a stripe lands
-        // on the worker whose cache already holds it.
+        // Multi-thread: sharding is by *task* so every sweep of a stripe
+        // lands on the worker whose cache already holds it.
         let threads = self.threads.min(n_tasks);
         let indeg: Vec<AtomicU32> = (0..total)
             .map(|node| {
@@ -899,8 +612,9 @@ impl WavefrontPool {
                 .unwrap()
                 .push_back(r);
         }
-        let steal_orders: Vec<Vec<usize>> =
-            (0..threads).map(|w| self.machine.steal_order(w, threads)).collect();
+        let steal_orders: Vec<Vec<usize>> = (0..threads)
+            .map(|w| machine().steal_order(w, threads))
+            .collect();
         let abort = AtomicBool::new(false);
         let panic_slot: Mutex<Option<PanicPayload>> = Mutex::new(None);
         let first_err: Mutex<Option<E>> = Mutex::new(None);
@@ -909,6 +623,7 @@ impl WavefrontPool {
         let checker = &checker;
         let sgraph = &sgraph;
         let steal_orders = &steal_orders;
+        let tag = &tag;
 
         let worker_loop = |w: usize| -> (S, WorkerStats) {
             let _tg = trace::install(self.obs.worker_tracer(w as u32));
@@ -964,7 +679,7 @@ impl WavefrontPool {
                     }
                     Ok(())
                 }));
-                trace::end_sweep(TraceKind::Task, ts, task as u32, ran as u32, sweep as u32 + 1);
+                trace::end_sweep(TraceKind::Task, ts, task as u32, ran as u32, tag(sweep));
                 match outcome {
                     Ok(Ok(())) => {
                         if let Some(t0) = t0 {
@@ -1133,6 +848,7 @@ impl WavefrontPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use instencil_pattern::dataflow::schedule_bundle;
     use instencil_pattern::schedule::WavefrontSchedule;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -1281,20 +997,28 @@ mod tests {
         assert_eq!(msg, "block 1 exploded", "original payload must survive");
     }
 
+    /// A pool under the dataflow scheduler, so eager
+    /// [`WavefrontPool::try_execute`] calls take the graph drain.
+    fn dataflow_pool(threads: usize) -> WavefrontPool {
+        WavefrontPool::with_opts(threads, Obs::off(), Scheduler::Dataflow)
+    }
+
     #[test]
     fn dataflow_executes_every_block_once_and_respects_deps() {
         let deps = vec![vec![-1i64, 0], vec![0, -1]];
-        let graph = BlockGraph::build(&[5, 5], &deps);
+        let bundle = schedule_bundle(&[5, 5], &deps);
+        let graph = &bundle.graph;
         for threads in [1usize, 2, 4, 8] {
             let clock = AtomicUsize::new(0);
             let starts: Vec<AtomicUsize> = (0..25).map(|_| AtomicUsize::new(0)).collect();
             let ends: Vec<AtomicUsize> = (0..25).map(|_| AtomicUsize::new(0)).collect();
             let count = AtomicUsize::new(0);
-            WavefrontPool::new(threads)
-                .try_execute_dataflow(
-                    &graph,
+            dataflow_pool(threads)
+                .try_execute(
+                    &bundle,
+                    1,
                     || (),
-                    |(), b| {
+                    |(), _, b| {
                         starts[b].store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
                         count.fetch_add(1, Ordering::SeqCst);
                         ends[b].store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
@@ -1318,14 +1042,15 @@ mod tests {
 
     #[test]
     fn dataflow_merges_states_and_propagates_errors() {
-        let graph = BlockGraph::build(&[4, 2], &[vec![-1i64, 0]]);
+        let bundle = schedule_bundle(&[4, 2], &[vec![-1i64, 0]]);
         for threads in [1usize, 2, 4] {
             let mut total = 0usize;
-            WavefrontPool::new(threads)
-                .try_execute_dataflow(
-                    &graph,
+            dataflow_pool(threads)
+                .try_execute(
+                    &bundle,
+                    1,
                     || 0usize,
-                    |count, b| {
+                    |count, _, b| {
                         *count += b + 1;
                         Ok::<(), ()>(())
                     },
@@ -1334,11 +1059,12 @@ mod tests {
                 .unwrap();
             assert_eq!(total, 36, "threads={threads}");
 
-            let err = WavefrontPool::new(threads)
-                .try_execute_dataflow(
-                    &graph,
+            let err = dataflow_pool(threads)
+                .try_execute(
+                    &bundle,
+                    1,
                     || (),
-                    |(), b| {
+                    |(), _, b| {
                         if b >= 6 {
                             return Err(format!("block {b} failed"));
                         }
@@ -1353,14 +1079,15 @@ mod tests {
 
     #[test]
     fn dataflow_propagates_worker_panics_with_payload() {
-        let graph = BlockGraph::build(&[3, 3], &[vec![-1i64, 0], vec![0, -1]]);
+        let bundle = schedule_bundle(&[3, 3], &[vec![-1i64, 0], vec![0, -1]]);
         for threads in [1usize, 3] {
             let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                WavefrontPool::new(threads)
-                    .try_execute_dataflow(
-                        &graph,
+                dataflow_pool(threads)
+                    .try_execute(
+                        &bundle,
+                        1,
                         || (),
-                        |(), b| {
+                        |(), _, b| {
                             if b == 4 {
                                 panic!("block {b} exploded");
                             }
@@ -1379,15 +1106,14 @@ mod tests {
     #[test]
     fn dataflow_empty_graph_is_a_no_op() {
         // A 1-block graph with no deps degenerates but must still run.
-        let graph = BlockGraph::build(&[1], &[]);
+        let bundle = schedule_bundle(&[1], &[]);
         let mut ran = 0usize;
-        WavefrontPool::new(4)
-            .try_execute_dataflow(
-                &graph,
+        dataflow_pool(4)
+            .try_execute(
+                &bundle,
+                1,
                 || (),
-                |(), _| {
-                    Ok::<(), ()>(())
-                },
+                |(), _, _| Ok::<(), ()>(()),
                 |()| ran += 1,
             )
             .unwrap();
@@ -1402,14 +1128,15 @@ mod tests {
         // counting *blocks* and the fusion savings must be attributed
         // to `fused`.
         let obs = Obs::new(instencil_obs::ObsLevel::Trace);
-        let graph = BlockGraph::build(&[6, 6], &[vec![-1i64, 0], vec![0, -1]]);
+        let bundle = schedule_bundle(&[6, 6], &[vec![-1i64, 0], vec![0, -1]]);
         let pool = WavefrontPool::with_opts(4, obs.clone(), Scheduler::Dataflow);
-        assert_eq!(pool.grain_for(&graph), 2);
+        assert_eq!(pool.grain_for(&bundle.graph), 2);
         let count = AtomicUsize::new(0);
-        pool.try_execute_dataflow(
-            &graph,
+        pool.try_execute(
+            &bundle,
+            1,
             || (),
-            |(), _| {
+            |(), _, _| {
                 count.fetch_add(1, Ordering::SeqCst);
                 Ok::<(), ()>(())
             },
@@ -1429,19 +1156,20 @@ mod tests {
     }
 
     #[test]
-    fn bundle_execution_matches_dataflow_and_respects_deps() {
+    fn dataflow_merges_worker_state_and_respects_deps() {
         let deps = vec![vec![-1i64, 0], vec![0, -1]];
-        let bundle = instencil_pattern::dataflow::schedule_bundle(&[5, 5], &deps);
+        let bundle = schedule_bundle(&[5, 5], &deps);
         for threads in [1usize, 2, 4, 8] {
             let clock = AtomicUsize::new(0);
             let starts: Vec<AtomicUsize> = (0..25).map(|_| AtomicUsize::new(0)).collect();
             let ends: Vec<AtomicUsize> = (0..25).map(|_| AtomicUsize::new(0)).collect();
             let mut total = 0usize;
-            WavefrontPool::new(threads)
-                .try_execute_bundle(
+            dataflow_pool(threads)
+                .try_execute(
                     &bundle,
+                    1,
                     || 0usize,
-                    |count, b| {
+                    |count, _, b| {
                         starts[b].store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
                         *count += b + 1;
                         ends[b].store(clock.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
@@ -1465,12 +1193,13 @@ mod tests {
     #[test]
     fn dataflow_records_steals_and_busy_at_trace() {
         let obs = Obs::new(instencil_obs::ObsLevel::Trace);
-        let graph = BlockGraph::build(&[6, 6], &[vec![-1i64, 0], vec![0, -1]]);
+        let bundle = schedule_bundle(&[6, 6], &[vec![-1i64, 0], vec![0, -1]]);
         WavefrontPool::with_opts(4, obs.clone(), Scheduler::Dataflow)
-            .try_execute_dataflow(
-                &graph,
+            .try_execute(
+                &bundle,
+                1,
                 || (),
-                |(), _| {
+                |(), _, _| {
                     // Enough work that busy times are nonzero.
                     std::hint::black_box((0..500).sum::<u64>());
                     Ok::<(), ()>(())
@@ -1487,5 +1216,39 @@ mod tests {
         let total: u64 = w.levels[0].workers.iter().map(|x| x.blocks).sum();
         assert_eq!(total, 36, "every block attributed to exactly one worker");
         assert!(w.levels[0].wall_ns > 0);
+    }
+
+    #[test]
+    fn eager_dataflow_is_a_one_sweep_batch() {
+        // An eager dataflow call is the graph drain at k = 1: one
+        // `sweeps: 1` dataflow record, task events tagged sweep 0 (not
+        // batched). The same call under levels takes the barrier drain.
+        let bundle = schedule_bundle(&[4, 4], &[vec![-1i64, 0], vec![0, -1]]);
+        for threads in [1usize, 2] {
+            for (scheduler, name) in [
+                (Scheduler::Dataflow, "dataflow"),
+                (Scheduler::Levels, "levels"),
+            ] {
+                let obs = Obs::new(instencil_obs::ObsLevel::Trace);
+                WavefrontPool::with_opts(threads, obs.clone(), scheduler)
+                    .try_execute(&bundle, 1, || (), |(), _, _| Ok::<(), ()>(()), |()| {})
+                    .unwrap();
+                let rec = obs.snapshot();
+                assert_eq!(rec.wavefronts.len(), 1, "threads={threads} {name}");
+                assert_eq!(rec.wavefronts[0].scheduler, name, "threads={threads}");
+                assert_eq!(rec.wavefronts[0].sweeps, 1, "threads={threads} {name}");
+                let tasks: Vec<_> = rec
+                    .rings
+                    .iter()
+                    .flat_map(|r| &r.events)
+                    .filter(|e| e.kind == TraceKind::Task)
+                    .collect();
+                assert!(!tasks.is_empty(), "threads={threads} {name}");
+                assert!(
+                    tasks.iter().all(|e| e.sweep == 0),
+                    "threads={threads} {name}"
+                );
+            }
+        }
     }
 }

@@ -3,6 +3,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+use instencil_pattern::dataflow::ScheduleBundle;
+
 use crate::buffer::BufferView;
 
 /// A runtime value: one SSA value's payload during interpretation.
@@ -18,8 +20,10 @@ pub enum RtVal {
     Vec(Vec<f64>),
     /// A memref (buffer view).
     Buf(BufferView),
-    /// An immutable `i64` array (`tensor<?xi64>` — CSR schedules).
-    I64Arr(Arc<Vec<i64>>),
+    /// A wavefront schedule handle: the run-time value of both
+    /// `tensor<?xi64>` results of `cfd.get_parallel_blocks` (the level
+    /// CSR and the dependence graph it was derived from).
+    Schedule(Arc<ScheduleBundle>),
 }
 
 impl RtVal {
@@ -78,14 +82,14 @@ impl RtVal {
         }
     }
 
-    /// i64-array payload.
+    /// Schedule-handle payload.
     ///
     /// # Panics
-    /// Panics when the value is not an i64 array.
-    pub fn as_i64_arr(&self) -> &[i64] {
+    /// Panics when the value is not a schedule handle.
+    pub fn as_schedule(&self) -> &Arc<ScheduleBundle> {
         match self {
-            RtVal::I64Arr(a) => a,
-            other => panic!("expected i64 array, got {other:?}"),
+            RtVal::Schedule(s) => s,
+            other => panic!("expected schedule, got {other:?}"),
         }
     }
 }
@@ -98,7 +102,7 @@ impl fmt::Debug for RtVal {
             RtVal::Bool(v) => write!(f, "bool({v})"),
             RtVal::Vec(v) => write!(f, "vec{v:?}"),
             RtVal::Buf(b) => write!(f, "{b:?}"),
-            RtVal::I64Arr(a) => write!(f, "i64arr(len={})", a.len()),
+            RtVal::Schedule(s) => write!(f, "schedule(blocks={})", s.csr.num_blocks()),
         }
     }
 }
@@ -113,7 +117,11 @@ mod tests {
         assert_eq!(RtVal::Int(-3).as_int(), -3);
         assert!(RtVal::Bool(true).as_bool());
         assert_eq!(RtVal::Vec(vec![1.0, 2.0]).as_vec(), &[1.0, 2.0]);
-        assert_eq!(RtVal::I64Arr(Arc::new(vec![1, 2])).as_i64_arr(), &[1, 2]);
+        let s = instencil_pattern::dataflow::schedule_bundle(&[2, 3], &[vec![-1, 0]]);
+        assert!(Arc::ptr_eq(
+            RtVal::Schedule(Arc::clone(&s)).as_schedule(),
+            &s
+        ));
     }
 
     #[test]

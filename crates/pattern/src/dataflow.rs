@@ -17,10 +17,12 @@
 //! * [`BlockGraph`] — CSR successor/predecessor lists plus in-degree
 //!   counts over the linearized sub-domain grid, built once per
 //!   `(grid, deps)`;
+//! * [`TaskGraph`] / [`SweepGraph`] — the coarsened and sweep-extended
+//!   views of the graph that the dataflow pool drains;
 //! * [`schedule_bundle`] — a process-wide cache pairing the wavefront CSR
-//!   (as handed to `cfd.execute_wavefronts`) with its [`BlockGraph`], so
-//!   engines can recover the graph at run time from the CSR arrays they
-//!   already transport ([`lookup_by_cols`]).
+//!   with its [`BlockGraph`]. The returned [`ScheduleBundle`] handle is
+//!   the run-time value of `cfd.get_parallel_blocks`, so
+//!   `scf.execute_wavefronts` receives the graph along with the levels.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -483,16 +485,13 @@ impl SweepGraph {
     }
 }
 
-/// Everything one `(grid, deps)` pair compiles to: the wavefront CSR in
-/// both its native and `i64` transport forms, plus the block dependence
-/// graph for dataflow execution. Computed once, shared via [`Arc`].
+/// Everything one `(grid, deps)` pair compiles to: the wavefront level
+/// CSR plus the block dependence graph for dataflow execution. Computed
+/// once, shared via [`Arc`]; the engines carry the `Arc` as the typed
+/// run-time value of `cfd.get_parallel_blocks`.
 #[derive(Debug)]
 pub struct ScheduleBundle {
-    /// `row_ptr` of the level CSR as handed to `cfd.execute_wavefronts`.
-    pub rows: Arc<Vec<i64>>,
-    /// `cols` of the level CSR (block flat indices, level-major).
-    pub cols: Arc<Vec<i64>>,
-    /// The level CSR itself.
+    /// The level CSR (block flat indices, level-major).
     pub csr: CsrWavefronts,
     /// The dependence graph the levels were derived from.
     pub graph: Arc<BlockGraph>,
@@ -547,8 +546,9 @@ impl ScheduleBundle {
 }
 
 /// Bound on cached `(grid, deps)` entries; on overflow the cache is
-/// cleared (sound: entries are plain derived data, recomputable).
-const CACHE_CAP: usize = 512;
+/// cleared (sound: entries are plain derived data, recomputable, and a
+/// handle already handed out keeps its bundle alive).
+pub const CACHE_CAP: usize = 512;
 
 type Cache = Mutex<HashMap<(Vec<usize>, Vec<Offset>), Arc<ScheduleBundle>>>;
 
@@ -567,13 +567,8 @@ pub fn schedule_bundle(grid: &[usize], deps: &[Offset]) -> Arc<ScheduleBundle> {
     if let Some(hit) = map.get(&key) {
         return Arc::clone(hit);
     }
-    let csr = WavefrontSchedule::compute(grid, deps).into_wavefronts();
-    let rows: Vec<i64> = csr.row_ptr().iter().map(|&x| x as i64).collect();
-    let cols: Vec<i64> = csr.cols().iter().map(|&x| x as i64).collect();
     let bundle = Arc::new(ScheduleBundle {
-        rows: Arc::new(rows),
-        cols: Arc::new(cols),
-        csr,
+        csr: WavefrontSchedule::compute(grid, deps).into_wavefronts(),
         graph: Arc::new(BlockGraph::build(grid, deps)),
         tasks: Mutex::new(Vec::new()),
         sweep_graphs: Mutex::new(Vec::new()),
@@ -583,19 +578,6 @@ pub fn schedule_bundle(grid: &[usize], deps: &[Offset]) -> Arc<ScheduleBundle> {
     }
     map.insert(key, Arc::clone(&bundle));
     bundle
-}
-
-/// Recovers the bundle whose transport `cols` array *is* `cols` (Arc
-/// pointer identity, not content equality — two different dependence
-/// sets can produce identical level CSRs, so content matching would be
-/// unsound for recovering the graph). Returns `None` for CSR arrays
-/// that did not come from [`schedule_bundle`], or whose cache entry was
-/// evicted; callers must then fall back to level execution.
-pub fn lookup_by_cols(cols: &Arc<Vec<i64>>) -> Option<Arc<ScheduleBundle>> {
-    let map = cache().lock().unwrap();
-    map.values()
-        .find(|b| Arc::ptr_eq(&b.cols, cols))
-        .map(Arc::clone)
 }
 
 #[cfg(test)]
@@ -655,21 +637,14 @@ mod tests {
     }
 
     #[test]
-    fn bundle_is_cached_and_recoverable_by_cols_identity() {
+    fn bundle_is_cached() {
         let grid = [7usize, 6];
         let deps = vec![vec![-1i64, 0], vec![0, -1]];
         let a = schedule_bundle(&grid, &deps);
         let b = schedule_bundle(&grid, &deps);
         assert!(Arc::ptr_eq(&a, &b), "second call must hit the cache");
         assert_eq!(a.csr.num_blocks(), 42);
-        assert_eq!(a.rows.len(), a.csr.num_levels() + 1);
-        assert_eq!(a.cols.len(), 42);
-
-        let hit = lookup_by_cols(&a.cols).expect("cols identity must resolve");
-        assert!(Arc::ptr_eq(&hit, &a));
-        // A content-equal but distinct allocation must NOT resolve.
-        let fake = Arc::new(a.cols.as_ref().clone());
-        assert!(lookup_by_cols(&fake).is_none());
+        assert_eq!(a.graph.num_blocks(), 42);
     }
 
     #[test]

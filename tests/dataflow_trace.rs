@@ -11,6 +11,10 @@
 //! block execution takes start/end stamps from one shared logical clock;
 //! afterwards every block must have run exactly once and every
 //! predecessor's end stamp must precede its successor's start stamp.
+//!
+//! Both properties run through the pool's single dataflow entry point,
+//! `WavefrontPool::try_execute`: an eager call is the graph drain with
+//! one sweep, a batch the same drain with `k` sweeps.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -64,7 +68,7 @@ fn sweep_batch_never_runs_a_block_before_its_cross_sweep_predecessors() {
                 let ends: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
                 let runs: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
                 let pool = WavefrontPool::with_opts(threads, Obs::off(), Scheduler::Dataflow);
-                pool.try_execute_sweep_batch(
+                pool.try_execute(
                     &bundle,
                     sweeps,
                     || (),
@@ -129,7 +133,8 @@ fn dataflow_trace_never_runs_a_block_before_its_predecessors() {
     check_n("dataflow-trace-ordering", 24, |rng| {
         let grid = random_grid(rng);
         let deps = random_deps(rng, grid.len());
-        let graph = BlockGraph::build(&grid, &deps);
+        let bundle = schedule_bundle(&grid, &deps);
+        let graph = &bundle.graph;
         let n = graph.num_blocks();
         for threads in [1usize, 2, 4, 8] {
             let clock = AtomicU64::new(1);
@@ -137,10 +142,11 @@ fn dataflow_trace_never_runs_a_block_before_its_predecessors() {
             let ends: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
             let runs: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
             let pool = WavefrontPool::with_opts(threads, Obs::off(), Scheduler::Dataflow);
-            pool.try_execute_dataflow(
-                &graph,
+            pool.try_execute(
+                &bundle,
+                1,
                 || (),
-                |_, b| {
+                |_, _, b| {
                     starts[b].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
                     runs[b].fetch_add(1, Ordering::SeqCst);
                     ends[b].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);

@@ -55,8 +55,20 @@ fn sor_parallel_matches_sequential_bitwise() {
 
         let u_seq = seeded(&shape);
         let b_seq = seeded(&shape);
-        let stats_seq =
-            run_sweeps_threaded(&compiled.module, "sor", &[u_seq.clone(), b_seq], 3, 1).unwrap();
+        let sweep = |bufs: &[BufferView], threads: usize| {
+            let engine = Engine::default();
+            run_sweeps_opts(
+                &compiled.module,
+                "sor",
+                bufs,
+                3,
+                threads,
+                engine,
+                Scheduler::Levels,
+            )
+            .unwrap()
+        };
+        let stats_seq = sweep(&[u_seq.clone(), b_seq], 1);
         assert!(
             stats_seq.wavefront_levels > 0,
             "n={n}: pipeline must lower to wavefronts"
@@ -66,9 +78,7 @@ fn sor_parallel_matches_sequential_bitwise() {
         for threads in THREAD_COUNTS {
             let u_par = seeded(&shape);
             let b_par = seeded(&shape);
-            let stats_par =
-                run_sweeps_threaded(&compiled.module, "sor", &[u_par.clone(), b_par], 3, threads)
-                    .unwrap();
+            let stats_par = sweep(&[u_par.clone(), b_par], threads);
             let got = u_par.to_vec();
             assert!(
                 expect

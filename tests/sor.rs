@@ -102,3 +102,25 @@ fn overrelaxation_accelerates_generated_convergence() {
         "optimal SOR must be much faster than GS through generated code: {sor} vs {gs}"
     );
 }
+
+#[test]
+fn nan_seeded_sor_runs_to_max_sweeps() {
+    // A NaN seeded at the center spreads through the in-place sweeps
+    // until only the fixed boundary stays finite. The residual must read
+    // NaN (never "no change"), so the solve runs to its sweep cap
+    // instead of returning the diverged field as converged.
+    let n = 17;
+    let module = kernels::sor_module(1.5);
+    let compiled = compile(&module, &PipelineOptions::new(vec![8, 8], vec![4, 4])).unwrap();
+    let u = field_to_buffer(&boundary_one(n));
+    u.store(&[0, n as i64 / 2, n as i64 / 2], f64::NAN);
+    let b = BufferView::alloc(&[1, n, n]);
+    let cap = 40;
+    let sweeps =
+        run_until_converged(&compiled.module, "sor", &[u.clone(), b], 0, 1e-8, cap).unwrap();
+    assert_eq!(sweeps, cap, "a NaN field must never read as converged");
+    assert!(
+        u.to_vec().iter().any(|x| x.is_nan()),
+        "the NaN must have spread"
+    );
+}
