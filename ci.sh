@@ -101,6 +101,15 @@ echo "==> obs report smoke (Trace pipeline run, schema-validates the JSON)"
 # current report schema version, so this doubles as the schema gate.
 cargo run $OFFLINE --release --example obs_report
 
+echo "==> self-checking examples (quickstart, wavefronts, convergence)"
+# Each asserts behaviour of the driver and pool API it demonstrates:
+# in-place sweeps through `run_sweeps`, one pool drain over an Eq. (3)
+# schedule, and a typed `run_until_converged` outcome on the generated
+# SOR solver.
+for example in quickstart wavefronts convergence; do
+    cargo run $OFFLINE --release --example "$example"
+done
+
 echo "==> scheduler trace export (LU-SGS under both schedulers, validates the Perfetto JSON)"
 # Runs the §4.3 LU-SGS solver at ObsLevel::Trace with the levels and the
 # dataflow scheduler, folds the per-worker event rings into Chrome

@@ -42,8 +42,10 @@ use std::time::Instant;
 
 use instencil_bench::cases::paper_cases;
 use instencil_core::kernels;
-use instencil_core::pipeline::{compile, Engine, PipelineOptions};
-use instencil_exec::{buffer::BufferView, BcOptions, BytecodeEngine, Interpreter, RtVal, Runner};
+use instencil_core::pipeline::{compile, PipelineOptions};
+use instencil_exec::{
+    buffer::BufferView, BcOptions, BytecodeEngine, Engine, Interpreter, RtVal, Runner,
+};
 use instencil_ir::Module;
 use instencil_obs::{report::validate_report_json, Json, Obs, ObsLevel};
 use instencil_pattern::Scheduler;
@@ -123,13 +125,21 @@ fn bench_case(
     let t_interp = measure(samples, || {
         interp.call(&compiled.module, func, args()).unwrap();
     });
-    let mut engine = BytecodeEngine::compile(&compiled.module).unwrap();
+    let mut engine = BytecodeEngine::compile(
+        &compiled.module,
+        1,
+        Scheduler::Levels,
+        Obs::off(),
+        BcOptions::default(),
+    )
+    .unwrap();
     let t_bytecode = measure(samples, || {
         engine.call(func, args()).unwrap();
     });
-    let mut dispatch = BytecodeEngine::compile_with_opts(
+    let mut dispatch = BytecodeEngine::compile(
         &compiled.module,
         1,
+        Scheduler::Levels,
         Obs::off(),
         BcOptions {
             specialize_runs: false,
@@ -389,8 +399,9 @@ fn measure_temporal(samples: usize, case: &TemporalCase, k: usize) -> f64 {
         Obs::off(),
     )
     .unwrap();
-    assert!(
-        runner.supports_sweep_batching(),
+    assert_eq!(
+        runner.engine(),
+        Engine::Bytecode,
         "temporal case {} must bind the bytecode engine",
         case.label
     );
@@ -706,7 +717,7 @@ fn main() {
     buffers[0].fill(1.0);
     let mut runner = Runner::with_opts(
         &compiled.module,
-        compiled.options.engine,
+        Engine::Bytecode,
         compiled.options.threads,
         compiled.options.scheduler,
         compiled.obs.clone(),

@@ -6,8 +6,9 @@
 //! criterion; offline build).
 
 use instencil_bench::cases::paper_cases;
-use instencil_core::pipeline::{compile, PipelineOptions};
+use instencil_core::pipeline::{compile, PipelineOptions, Scheduler};
 use instencil_exec::{buffer::BufferView, Interpreter, RtVal};
+use instencil_obs::Obs;
 use instencil_testkit::bench::Group;
 
 fn bench_generated() {
@@ -59,7 +60,8 @@ fn bench_threaded() {
             .collect();
         buffers[0].fill(1.0);
         group.bench(format!("gs5/threads{threads}"), || {
-            let mut interp = Interpreter::with_threads(compiled.options.threads);
+            let mut interp =
+                Interpreter::with_opts(compiled.options.threads, Obs::off(), Scheduler::Levels);
             let args: Vec<RtVal> = buffers.iter().cloned().map(RtVal::Buf).collect();
             interp.call(&compiled.module, case.func, args).unwrap();
         });

@@ -51,36 +51,6 @@ impl From<PassError> for CompileError {
     }
 }
 
-/// Which execution engine runs the lowered module.
-///
-/// Both engines are bit-identical (results *and* `ExecStats` counters —
-/// enforced by the `engine_equiv` differential tests), so this knob
-/// trades debuggability against speed, never semantics:
-///
-/// * [`Engine::Bytecode`] (the default) compiles each function once into
-///   flat register-machine tapes and is what wall-clock numbers should
-///   be measured on;
-/// * [`Engine::Interp`] re-walks the IR tree per executed op — the
-///   reference semantics, and the only engine able to execute structured
-///   `cfd` reference modules (drivers fall back to it automatically when
-///   bytecode compilation reports an unsupported op).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// Tree-walking reference interpreter.
-    Interp,
-    /// Compiled bytecode tapes (default), with innermost-loop run
-    /// specialization: straight-line stencil bodies execute a whole
-    /// contiguous run of points per dispatch.
-    #[default]
-    Bytecode,
-    /// Compiled bytecode tapes with run specialization disabled —
-    /// every point pays full opcode dispatch. Exists to measure what
-    /// the specialized run path buys (see `benches/engines.rs`) and as
-    /// a differential-testing comparator; results and statistics are
-    /// bit-identical to the other two engines.
-    BytecodeDispatch,
-}
-
 /// Options of the full pipeline (one point of the §4.2 ablation space).
 #[derive(Clone, Debug)]
 pub struct PipelineOptions {
@@ -95,23 +65,18 @@ pub struct PipelineOptions {
     pub fuse: bool,
     /// Vector factor for partial vectorization (§2.4), `None` = scalar.
     pub vectorize: Option<usize>,
-    /// OS threads for wavefront execution (§3.4): each wavefront level of
-    /// `scf.execute_wavefronts` is split across this many workers at run
-    /// time. `1` = sequential; `0` = auto — the exec driver resolves it
-    /// to `std::thread::available_parallelism()` when the `Runner` is
-    /// built. Purely a runtime knob — the generated IR is identical for
+    /// OS threads for wavefront execution (§3.4), carried for the caller
+    /// to hand to the exec `Runner` (`0` = one per hardware thread).
+    /// [`compile`] never reads it: the generated IR is identical for
     /// every value, and so are the computed results (sub-domains within
     /// a level are independent by Eq. (3)).
     pub threads: usize,
-    /// How wavefront blocks synchronize at run time:
-    /// [`Scheduler::Levels`] (barrier between wavefront levels) or
-    /// [`Scheduler::Dataflow`] (point-to-point, each block fires when
-    /// its own predecessors finish). Runtime knob; results are
-    /// bit-identical either way.
+    /// How wavefront blocks synchronize at run time, carried for the
+    /// exec `Runner` like [`Self::threads`]: [`Scheduler::Levels`]
+    /// (barrier between wavefront levels) or [`Scheduler::Dataflow`]
+    /// (point-to-point, each block fires when its own predecessors
+    /// finish). Results are bit-identical either way.
     pub scheduler: Scheduler,
-    /// Execution engine for the lowered module (runtime knob; the
-    /// generated IR is identical either way).
-    pub engine: Engine,
     /// Observability level: `Off` (default, free), `Summary`, or
     /// `Trace`. Governs the collector that [`compile`] threads through
     /// the passes and that the exec drivers continue at run time; the
@@ -130,7 +95,6 @@ impl PipelineOptions {
             vectorize: None,
             threads: 1,
             scheduler: Scheduler::default(),
-            engine: Engine::default(),
             obs: ObsLevel::default(),
         }
     }
@@ -156,8 +120,8 @@ impl PipelineOptions {
         self
     }
 
-    /// Sets the wavefront worker count. `0` means auto: the exec driver
-    /// resolves it via `std::thread::available_parallelism()`.
+    /// Sets the wavefront worker count. `0` means auto: the exec
+    /// `Runner` resolves it via `std::thread::available_parallelism()`.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -168,13 +132,6 @@ impl PipelineOptions {
     #[must_use]
     pub fn scheduler(mut self, scheduler: Scheduler) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the execution engine.
-    #[must_use]
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -371,16 +328,6 @@ mod tests {
         assert_eq!(o.scheduler, Scheduler::Dataflow);
         let c = compile(&kernels::gauss_seidel_5pt_module(), &o).unwrap();
         assert_eq!(c.options.scheduler, Scheduler::Dataflow);
-    }
-
-    #[test]
-    fn engine_knob_defaults_to_bytecode_and_persists() {
-        let o = PipelineOptions::new(vec![8, 8], vec![4, 4]);
-        assert_eq!(o.engine, Engine::Bytecode, "bytecode is the default");
-        let o = o.engine(Engine::Interp);
-        assert_eq!(o.engine, Engine::Interp);
-        let c = compile(&kernels::gauss_seidel_5pt_module(), &o).unwrap();
-        assert_eq!(c.options.engine, Engine::Interp);
     }
 
     #[test]

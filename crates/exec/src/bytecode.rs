@@ -529,18 +529,16 @@ fn cross_move(src_regs: &Regs, src: Reg, dst_regs: &mut Regs, dst: Reg) {
     }
 }
 
-/// The bytecode engine: a compiled program plus the same `stats` /
-/// `threads` surface as [`crate::interp::Interpreter`]. Compile once,
-/// call many times.
+/// The bytecode engine: a compiled program plus the same `stats` and
+/// wavefront pool as [`crate::interp::Interpreter`]. Compile once, call
+/// many times.
 #[derive(Debug)]
 pub struct BytecodeEngine {
     program: BcProgram,
     /// Accumulated dynamic statistics (identical to the interpreter's on
     /// the same module and inputs).
     pub stats: ExecStats,
-    threads: usize,
-    obs: Obs,
-    scheduler: Scheduler,
+    pool: WavefrontPool,
     /// Run-specialization scratch retired by finished frames and handed
     /// to new ones, so plan caches survive across calls: the cache
     /// re-validates by spec address (stable — the specs live in
@@ -556,77 +554,32 @@ pub struct BytecodeEngine {
 }
 
 impl BytecodeEngine {
-    /// Compiles every function of `module` to bytecode (sequential
-    /// wavefront execution).
+    /// Compiles every function of `module` to bytecode, running
+    /// `scf.execute_wavefronts` on `threads` workers under `scheduler`
+    /// and recording wavefront and schedule timings into `obs`.
+    /// `opts.specialize_runs = false` forces dispatch-per-point
+    /// execution (the pre-§4f engine), kept for differential tests and
+    /// the engines bench. Unlike [`crate::Runner`], the worker count is
+    /// not clamped to the host, so tests can exercise real 4- and
+    /// 8-worker interleavings anywhere.
     ///
     /// # Errors
     /// Returns [`BcCompileError`] when the module contains ops outside
     /// the lowered subset (e.g. structured `cfd.stencil` reference ops —
     /// those stay on the tree-walking interpreter).
-    pub fn compile(module: &Module) -> Result<Self, BcCompileError> {
-        Self::compile_with_threads(module, 1)
-    }
-
-    /// [`BytecodeEngine::compile`] with a wavefront worker count.
-    ///
-    /// # Errors
-    /// See [`BytecodeEngine::compile`].
-    pub fn compile_with_threads(module: &Module, threads: usize) -> Result<Self, BcCompileError> {
-        Self::compile_with_obs(module, threads, Obs::off())
-    }
-
-    /// [`BytecodeEngine::compile_with_threads`] recording wavefront and
-    /// schedule timings into `obs`.
-    ///
-    /// # Errors
-    /// See [`BytecodeEngine::compile`].
-    pub fn compile_with_obs(
+    pub fn compile(
         module: &Module,
         threads: usize,
-        obs: Obs,
-    ) -> Result<Self, BcCompileError> {
-        Self::compile_with_opts(module, threads, obs, BcOptions::default())
-    }
-
-    /// [`BytecodeEngine::compile_with_obs`] with explicit compile
-    /// options — `opts.specialize_runs = false` forces dispatch-per-point
-    /// execution (the pre-§4f engine), kept for differential tests and
-    /// the engines bench.
-    ///
-    /// # Errors
-    /// See [`BytecodeEngine::compile`].
-    pub fn compile_with_opts(
-        module: &Module,
-        threads: usize,
+        scheduler: Scheduler,
         obs: Obs,
         opts: BcOptions,
     ) -> Result<Self, BcCompileError> {
         Ok(BytecodeEngine {
             program: compile_program(module, opts, &obs)?,
             stats: ExecStats::default(),
-            threads: threads.max(1),
-            obs,
-            scheduler: Scheduler::Levels,
+            pool: WavefrontPool::with_opts(threads, obs, scheduler),
             scratch_pool: Mutex::new(Vec::new()),
         })
-    }
-
-    /// Selects the wavefront scheduler mode (a pure runtime knob — the
-    /// compiled program is unchanged; results are bit-identical).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// The wavefront worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The wavefront scheduler mode.
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
     }
 
     /// Calls a compiled function by name.
@@ -669,8 +622,10 @@ impl BytecodeEngine {
             .lookup(name)
             .ok_or_else(|| ExecError::new(format!("no function `{name}`")))?;
         if sweeps > 1 && batchable_wavefronts(&self.program.funcs[fi]).is_none() {
-            self.obs
-                .event("sweep-batch-fallback", "entry tape is not a pure wavefront sweep");
+            self.pool.obs().event(
+                "sweep-batch-fallback",
+                "entry tape is not a pure wavefront sweep",
+            );
             let mut out = Vec::new();
             for _ in 0..sweeps {
                 out = self.call(name, args.clone())?;
@@ -679,7 +634,7 @@ impl BytecodeEngine {
         }
         let ctx = BcCtx {
             program: &self.program,
-            pool: WavefrontPool::with_opts(self.threads, self.obs.clone(), self.scheduler),
+            pool: &self.pool,
             scratch: &self.scratch_pool,
         };
         let mut stats = ExecStats::default();
@@ -745,7 +700,7 @@ fn batchable_wavefronts(func: &BcFunc) -> Option<(u32, u32, u32, u32)> {
 /// Read-only execution context shared by all threads.
 struct BcCtx<'p> {
     program: &'p BcProgram,
-    pool: WavefrontPool,
+    pool: &'p WavefrontPool,
     /// The engine's cross-call [`RunScratch`] pool (see the field doc on
     /// [`BytecodeEngine`]). Frames pop a warm scratch on entry and push
     /// it back when they finish.
@@ -1048,7 +1003,7 @@ impl BcCtx<'_> {
                 } => {
                     let grid: Vec<usize> = dims
                         .iter()
-                        .map(|&r| regs.i[r as usize].max(1) as usize)
+                        .map(|&r| regs.i[r as usize].max(0) as usize)
                         .collect();
                     let mut span = self.pool.obs().span("run:schedule");
                     // Cached per (grid, deps) process-wide; both result
@@ -1395,7 +1350,8 @@ mod tests {
         let mut m = Module::new("t");
         build(&mut m);
         m.verify().unwrap();
-        BytecodeEngine::compile(&m).unwrap()
+        BytecodeEngine::compile(&m, 1, Scheduler::Levels, Obs::off(), BcOptions::default())
+            .unwrap()
     }
 
     #[test]
@@ -1521,18 +1477,5 @@ mod tests {
         });
         eng.call("f", vec![]).unwrap();
         assert_eq!(eng.stats.schedules_computed, 1);
-    }
-
-    #[test]
-    fn threads_knob_clamps_to_one() {
-        let m = Module::new("t");
-        assert_eq!(
-            BytecodeEngine::compile_with_threads(&m, 0).unwrap().threads(),
-            1
-        );
-        assert_eq!(
-            BytecodeEngine::compile_with_threads(&m, 4).unwrap().threads(),
-            4
-        );
     }
 }

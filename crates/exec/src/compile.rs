@@ -910,11 +910,16 @@ mod tests {
     use crate::bytecode::BytecodeEngine;
     use instencil_core::kernels;
     use instencil_core::pipeline::reference_module;
+    use instencil_pattern::dataflow::Scheduler;
+
+    fn compile_engine(m: &Module) -> Result<BytecodeEngine, BcCompileError> {
+        BytecodeEngine::compile(m, 1, Scheduler::Levels, Obs::off(), BcOptions::default())
+    }
 
     #[test]
     fn reference_modules_are_unsupported_not_malformed() {
         let m = reference_module(&kernels::gauss_seidel_5pt_module()).unwrap();
-        match BytecodeEngine::compile(&m) {
+        match compile_engine(&m) {
             Err(BcCompileError::Unsupported(msg)) => {
                 assert!(msg.contains("cfd"), "should name the structured op: {msg}");
             }
@@ -934,7 +939,7 @@ mod tests {
                 .vectorize(Some(4)),
         ] {
             let compiled = compile(&m, &opts).unwrap();
-            BytecodeEngine::compile(&compiled.module).expect("lowered module compiles");
+            compile_engine(&compiled.module).expect("lowered module compiles");
         }
     }
 }

@@ -1,40 +1,70 @@
-//! Convenience driver for iterative kernels.
+//! Driving compiled kernels: one [`Runner`] per configured run.
 //!
 //! Kernels compiled by `instencil-core` perform one sweep per call and
-//! mutate their argument buffers in place; [`run_sweeps`] drives the
-//! iteration loop (the granularity at which the paper synchronizes
-//! between Gauss-Seidel iterations). [`run_sweeps_opts`] does the same
-//! with a wavefront worker count, engine and scheduler;
-//! [`run_compiled_sweeps`] reads those knobs from the module's
-//! [`PipelineOptions`].
+//! mutate their argument buffers in place. [`Runner::with_opts`] is the
+//! one way to bind a module to an [`Engine`], a wavefront worker count,
+//! a [`Scheduler`] and an [`Obs`] collector. A bound runner then makes
+//! eager calls ([`Runner::call`]), fused sweep batches
+//! ([`Runner::call_sweeps`]), `n` sweeps in batches of
+//! [`DEFAULT_SWEEP_BATCH`] ([`Runner::sweeps`]), or a solve to a
+//! residual tolerance ([`Runner::until_converged`], which reports a
+//! typed [`SolveOutcome`]). The three free functions [`run_sweeps`],
+//! [`run_until_converged`] and [`run_jacobi_sweeps`] do the same on a
+//! default runner: bytecode, one thread, levels, no collector.
 //!
 //! # Engine selection
 //!
-//! Every helper here executes through [`Runner`], which compiles the
-//! module to bytecode once up front ([`Engine::Bytecode`], the default)
-//! and replays the tapes each sweep. Modules outside the lowered subset
-//! — reference modules with structured `cfd` ops — make bytecode
-//! compilation report [`BcCompileError::Unsupported`], and the runner
-//! falls back to the tree-walking [`Interpreter`]; both engines are
-//! bit-identical in results and statistics, so the fallback is
-//! observable as wall-clock time and — when a collector is attached via
-//! [`Runner::with_obs`] — as an `engine-fallback` event surfaced in the
-//! [`RunReport`] together with the compile/execute time split.
-//!
-//! [`PipelineOptions`]: instencil_core::pipeline::PipelineOptions
+//! [`Engine::Bytecode`] (the default) compiles the module to bytecode
+//! once up front and replays the tapes each sweep. Modules outside the
+//! lowered subset — reference modules with structured `cfd` ops — make
+//! bytecode compilation report [`BcCompileError::Unsupported`], and the
+//! runner falls back to the tree-walking [`Interpreter`]; both engines
+//! are bit-identical in results and statistics, so the fallback is
+//! observable as wall-clock time and — with a collector attached — as
+//! an `engine-fallback` event surfaced in the [`RunReport`] together
+//! with the compile/execute time split.
 
-use instencil_core::pipeline::{CompiledModule, Engine};
 use instencil_ir::Module;
 use instencil_obs::{Obs, RunReport};
 use instencil_pattern::dataflow::Scheduler;
 
 use crate::buffer::BufferView;
 use crate::bytecode::BytecodeEngine;
-use crate::BcOptions;
 use crate::compile::BcCompileError;
 use crate::interp::{ExecError, Interpreter};
 use crate::stats::ExecStats;
 use crate::value::RtVal;
+use crate::BcOptions;
+
+/// Which execution engine runs the lowered module.
+///
+/// Every engine is bit-identical (results *and* [`ExecStats`] counters
+/// — enforced by the `engine_equiv` differential tests), so the choice
+/// trades debuggability against speed, never semantics:
+///
+/// * [`Engine::Bytecode`] (the default) compiles each function once into
+///   flat register-machine tapes and is what wall-clock numbers should
+///   be measured on;
+/// * [`Engine::Interp`] re-walks the IR tree per executed op — the
+///   reference semantics, and the only engine able to execute structured
+///   `cfd` reference modules ([`Runner`] falls back to it automatically
+///   when bytecode compilation reports an unsupported op).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Engine {
+    /// Tree-walking reference interpreter.
+    Interp,
+    /// Compiled bytecode tapes (default), with innermost-loop run
+    /// specialization: straight-line stencil bodies execute a whole
+    /// contiguous run of points per dispatch.
+    #[default]
+    Bytecode,
+    /// Compiled bytecode tapes with run specialization disabled —
+    /// every point pays full opcode dispatch. Exists to measure what
+    /// the specialized run path buys (see `benches/engines.rs`) and as
+    /// a differential-testing comparator; results and statistics are
+    /// bit-identical to the other two engines.
+    BytecodeDispatch,
+}
 
 /// Stable engine name used in run reports.
 fn engine_name(engine: Engine) -> &'static str {
@@ -94,37 +124,17 @@ fn resolve_threads(threads: usize) -> usize {
 }
 
 impl<'m> Runner<'m> {
-    /// Binds `module` to the requested engine with a wavefront worker
-    /// count. [`Engine::Bytecode`] falls back to the interpreter when
-    /// the module contains ops outside the lowered subset (structured
-    /// `cfd` reference ops); a *malformed* module fails on either
-    /// engine, so that error is surfaced instead of masked by fallback.
-    ///
-    /// # Errors
-    /// Returns an error only for [`BcCompileError::Malformed`] modules.
-    pub fn new(module: &'m Module, engine: Engine, threads: usize) -> Result<Self, ExecError> {
-        Self::with_obs(module, engine, threads, Obs::off())
-    }
-
-    /// [`Runner::new`] recording into `obs`: bytecode compilation under
-    /// an `engine:compile` span, each call under `engine:execute`, the
-    /// interpreter fallback as an `engine-fallback` event, and wavefront
-    /// timings through the engines' pools.
-    ///
-    /// # Errors
-    /// Returns an error only for [`BcCompileError::Malformed`] modules.
-    pub fn with_obs(
-        module: &'m Module,
-        engine: Engine,
-        threads: usize,
-        obs: Obs,
-    ) -> Result<Self, ExecError> {
-        Self::with_opts(module, engine, threads, Scheduler::Levels, obs)
-    }
-
-    /// [`Runner::with_obs`] with an explicit wavefront [`Scheduler`].
-    /// `threads == 0` means "auto": one worker per available hardware
-    /// thread (resolved here, nowhere else).
+    /// Binds `module` to `engine` with `threads` wavefront workers
+    /// under `scheduler`, recording into `obs`: bytecode compilation
+    /// under an `engine:compile` span, each call under `engine:execute`,
+    /// the interpreter fallback as an `engine-fallback` event, and
+    /// wavefront timings through the engine's pool. [`Engine::Bytecode`]
+    /// falls back to the interpreter when the module contains ops
+    /// outside the lowered subset (structured `cfd` reference ops); a
+    /// *malformed* module fails on either engine, so that error is
+    /// surfaced instead of masked by fallback. `threads == 0` means
+    /// "auto": one worker per available hardware thread (resolved here,
+    /// nowhere else).
     ///
     /// # Errors
     /// Returns an error only for [`BcCompileError::Malformed`] modules.
@@ -148,8 +158,7 @@ impl<'m> Runner<'m> {
                     let opts = BcOptions {
                         specialize_runs: engine == Engine::Bytecode,
                     };
-                    BytecodeEngine::compile_with_opts(module, threads, obs.clone(), opts)
-                        .map(|e| e.with_scheduler(scheduler))
+                    BytecodeEngine::compile(module, threads, scheduler, obs.clone(), opts)
                 };
                 match compiled {
                     Ok(engine) => RunnerInner::Bytecode(engine),
@@ -221,38 +230,76 @@ impl<'m> Runner<'m> {
         }
     }
 
-    /// Whether the bound engine can fuse queued sweeps into one drain
-    /// (bytecode yes, interpreter no). [`SweepBatch`] uses this to pick
-    /// its effective depth, so interpreter-bound modules keep exact
-    /// eager pacing (e.g. convergence checks after every sweep).
-    pub fn supports_sweep_batching(&self) -> bool {
-        matches!(self.inner, RunnerInner::Bytecode(_))
+    /// Runs `n` identical in-place sweeps of `func` over `buffers`
+    /// (passed as memref arguments), draining them through
+    /// [`Self::call_sweeps`] in batches of [`DEFAULT_SWEEP_BATCH`].
+    /// Results and statistics are bit-identical to `n` eager
+    /// [`Self::call`]s.
+    ///
+    /// # Errors
+    /// Propagates engine failures; the first failing batch aborts.
+    pub fn sweeps(
+        &mut self,
+        func: &str,
+        buffers: &[BufferView],
+        n: usize,
+    ) -> Result<(), ExecError> {
+        let args: Vec<RtVal> = buffers.iter().cloned().map(RtVal::Buf).collect();
+        let mut done = 0;
+        while done < n {
+            let k = DEFAULT_SWEEP_BATCH.min(n - done);
+            self.call_sweeps(func, args.clone(), k)?;
+            done += k;
+        }
+        Ok(())
     }
 
-    /// An OPS-style lazy sweep queue over this runner: [`SweepBatch::queue`]
-    /// records the intent to run one more identical in-place sweep and
-    /// flushes automatically once `depth` are pending; explicit
-    /// [`SweepBatch::flush`] drains the remainder (a batch boundary —
-    /// buffers are guaranteed up to date only after a flush). Depth
-    /// clamps to 1 on engines without a fused path.
-    pub fn sweep_batch<'r>(
-        &'r mut self,
+    /// Sweeps `func` over `buffers` until the in-place solution stops
+    /// changing: after every batch it measures the max-norm delta of
+    /// `buffers[watch]` since the previous batch boundary and stops once
+    /// that drops below `tol`, or as [`SolveOutcome::NonFinite`] once it
+    /// is NaN or infinite. Gives up after `max_sweeps` sweeps.
+    ///
+    /// On bytecode, batches are [`DEFAULT_SWEEP_BATCH`] deep and the
+    /// residual fold ([`BufferView::max_delta_update`]) is one pass over
+    /// the watched buffer per batch, so a converged count may overshoot
+    /// the true stopping sweep by up to `depth − 1` sweeps (extra
+    /// Gauss-Seidel sweeps past the fixed point are harmless: the fixed
+    /// point is stationary). The interpreter has no fused batches and
+    /// checks after every sweep.
+    ///
+    /// # Errors
+    /// Propagates engine failures.
+    pub fn until_converged(
+        &mut self,
         func: &str,
-        args: Vec<RtVal>,
-        depth: usize,
-    ) -> SweepBatch<'r, 'm> {
-        let depth = if self.supports_sweep_batching() {
-            depth.max(1)
-        } else {
-            1
+        buffers: &[BufferView],
+        watch: usize,
+        tol: f64,
+        max_sweeps: usize,
+    ) -> Result<SolveOutcome, ExecError> {
+        let depth = match self.inner {
+            RunnerInner::Bytecode(_) => DEFAULT_SWEEP_BATCH,
+            RunnerInner::Interp { .. } => 1,
         };
-        SweepBatch {
-            runner: self,
-            func: func.to_owned(),
-            args,
-            depth,
-            queued: 0,
+        let args: Vec<RtVal> = buffers.iter().cloned().map(RtVal::Buf).collect();
+        let mut previous = buffers[watch].to_vec();
+        let mut done = 0;
+        while done < max_sweeps {
+            let k = depth.min(max_sweeps - done);
+            self.call_sweeps(func, args.clone(), k)?;
+            done += k;
+            // Batch boundary: one fused pass computes the max-norm delta
+            // against the last boundary and refreshes the snapshot in place.
+            let delta = buffers[watch].max_delta_update(&mut previous);
+            if !delta.is_finite() {
+                return Ok(SolveOutcome::NonFinite { sweeps: done });
+            }
+            if delta < tol {
+                return Ok(SolveOutcome::Converged { sweeps: done });
+            }
         }
+        Ok(SolveOutcome::MaxSweeps)
     }
 
     /// Statistics accumulated across calls.
@@ -289,8 +336,7 @@ impl<'m> Runner<'m> {
         self.fallback.as_deref()
     }
 
-    /// The attached collector ([`Obs::off`] unless built via
-    /// [`Runner::with_obs`]).
+    /// The attached collector.
     pub fn obs(&self) -> &Obs {
         &self.obs
     }
@@ -323,92 +369,41 @@ impl<'m> Runner<'m> {
     }
 }
 
-/// Default lazy-queue depth used by the sweep-driving helpers: deep
-/// enough to amortize the per-call fixed cost (dispatch, register file,
-/// prefix tape, schedule lookup) over a batch, shallow enough that
+/// Batch depth of [`Runner::sweeps`] and [`Runner::until_converged`]:
+/// deep enough to amortize the per-call fixed cost (dispatch, register
+/// file, prefix tape, schedule lookup) over a batch, shallow enough that
 /// convergence checks at batch boundaries overshoot the true stopping
 /// sweep by at most 7. The autotuner refines this per problem via
 /// [`best_batch_depth`](instencil_machine::best_batch_depth) into
 /// [`TunedTiles::batch`](instencil_machine::TunedTiles).
 pub const DEFAULT_SWEEP_BATCH: usize = 8;
 
-/// A lazy queue of identical in-place sweeps over one [`Runner`]
-/// (OPS-style lazy execution): [`SweepBatch::queue`] only records the
-/// intent to sweep; once `depth` sweeps are pending — or on an explicit
-/// [`SweepBatch::flush`] — the whole batch drains as one fused dataflow
-/// pass over the sweep-extended dependence graph. Buffers are
-/// guaranteed up to date only at batch boundaries (after a flush).
-/// Dropping a batch with sweeps still queued panics in debug builds;
-/// call [`SweepBatch::flush`] (or [`SweepBatch::finish`]) first.
-#[derive(Debug)]
-pub struct SweepBatch<'r, 'm> {
-    runner: &'r mut Runner<'m>,
-    func: String,
-    args: Vec<RtVal>,
-    depth: usize,
-    queued: usize,
+/// How a [`Runner::until_converged`] solve ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SolveOutcome {
+    /// The residual dropped below the tolerance after `sweeps` sweeps.
+    Converged {
+        /// Sweeps executed, up to the batch boundary that converged.
+        sweeps: usize,
+    },
+    /// `max_sweeps` sweeps ran without reaching the tolerance.
+    MaxSweeps,
+    /// The residual was NaN or infinite at the batch boundary after
+    /// `sweeps` sweeps: the field diverged, and the solve stopped there.
+    NonFinite {
+        /// Sweeps executed, up to the batch boundary that detected it.
+        sweeps: usize,
+    },
 }
 
-impl SweepBatch<'_, '_> {
-    /// Queues one more sweep; drains automatically when the queue
-    /// reaches the batch depth.
-    ///
-    /// # Errors
-    /// Propagates engine failures from an automatic flush.
-    pub fn queue(&mut self) -> Result<(), ExecError> {
-        self.queued += 1;
-        if self.queued >= self.depth {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Drains every queued sweep as one fused batch (no-op when the
-    /// queue is empty). After this returns, the argument buffers hold
-    /// the state after all queued sweeps.
-    ///
-    /// # Errors
-    /// Propagates engine failures.
-    pub fn flush(&mut self) -> Result<(), ExecError> {
-        let k = std::mem::take(&mut self.queued);
-        if k > 0 {
-            self.runner.call_sweeps(&self.func, self.args.clone(), k)?;
-        }
-        Ok(())
-    }
-
-    /// Flushes and consumes the batch, releasing the runner borrow.
-    ///
-    /// # Errors
-    /// Propagates engine failures.
-    pub fn finish(mut self) -> Result<(), ExecError> {
-        self.flush()
-    }
-
-    /// Sweeps queued but not yet executed.
-    pub fn pending(&self) -> usize {
-        self.queued
-    }
-
-    /// The flush threshold this batch was built with (1 on engines
-    /// without a fused path).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
+/// The runner behind the free functions: bytecode (falling back to the
+/// interpreter), one thread, levels, no collector.
+fn default_runner(module: &Module) -> Result<Runner<'_>, ExecError> {
+    Runner::with_opts(module, Engine::default(), 1, Scheduler::Levels, Obs::off())
 }
 
-impl Drop for SweepBatch<'_, '_> {
-    fn drop(&mut self) {
-        debug_assert!(
-            self.queued == 0 || std::thread::panicking(),
-            "SweepBatch dropped with {} sweep(s) still queued; call flush()",
-            self.queued
-        );
-    }
-}
-
-/// Runs `func` of `module` for `iterations` sweeps over the given
-/// buffers (passed as memref arguments each sweep). Returns accumulated
+/// [`Runner::sweeps`] on a default runner: runs `func` of `module` for
+/// `iterations` sweeps over the given buffers. Returns the accumulated
 /// execution statistics.
 ///
 /// # Errors
@@ -419,104 +414,14 @@ pub fn run_sweeps(
     buffers: &[BufferView],
     iterations: usize,
 ) -> Result<ExecStats, ExecError> {
-    run_sweeps_opts(
-        module,
-        func,
-        buffers,
-        iterations,
-        1,
-        Engine::default(),
-        Scheduler::Levels,
-    )
-}
-
-/// [`run_sweeps`] with `scf.execute_wavefronts` spread over `threads` OS
-/// threads, an explicit engine and an explicit wavefront [`Scheduler`].
-/// Results and statistics are bit-identical across thread counts,
-/// engines and schedulers (enforced by `tests/engine_equiv.rs`); only
-/// wall-clock time changes.
-///
-/// # Errors
-/// Propagates engine failures.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sweeps_opts(
-    module: &Module,
-    func: &str,
-    buffers: &[BufferView],
-    iterations: usize,
-    threads: usize,
-    engine: Engine,
-    scheduler: Scheduler,
-) -> Result<ExecStats, ExecError> {
-    let mut runner = Runner::with_opts(module, engine, threads, scheduler, Obs::off())?;
-    let args: Vec<RtVal> = buffers.iter().cloned().map(RtVal::Buf).collect();
-    let mut batch = runner.sweep_batch(func, args, DEFAULT_SWEEP_BATCH);
-    for _ in 0..iterations {
-        batch.queue()?;
-    }
-    batch.finish()?;
+    let mut runner = default_runner(module)?;
+    runner.sweeps(func, buffers, iterations)?;
     Ok(runner.stats())
 }
 
-/// Runs sweeps of a compiled module, honoring the `threads` and `engine`
-/// knobs of the [`PipelineOptions`](instencil_core::pipeline::PipelineOptions)
-/// it was compiled with.
-///
-/// # Errors
-/// Propagates engine failures.
-pub fn run_compiled_sweeps(
-    compiled: &CompiledModule,
-    func: &str,
-    buffers: &[BufferView],
-    iterations: usize,
-) -> Result<ExecStats, ExecError> {
-    let runner = run_compiled_runner(compiled, func, buffers, iterations)?;
-    Ok(runner.stats())
-}
-
-/// [`run_compiled_sweeps`] that additionally renders the full
-/// [`RunReport`]: pipeline pass spans recorded while `compiled` was
-/// built, engine compile/execute split, wavefront timelines, events and
-/// the [`ExecStats`] counters. With `obs: ObsLevel::Off` in the
-/// pipeline options this is exactly [`RunReport::default`].
-///
-/// # Errors
-/// Propagates engine failures.
-pub fn run_compiled_report(
-    compiled: &CompiledModule,
-    func: &str,
-    buffers: &[BufferView],
-    iterations: usize,
-) -> Result<RunReport, ExecError> {
-    let runner = run_compiled_runner(compiled, func, buffers, iterations)?;
-    Ok(runner.report())
-}
-
-/// Shared driver loop: binds a runner to the module's own collector
-/// (the one its pipeline passes were recorded into) and runs the sweeps.
-fn run_compiled_runner<'m>(
-    compiled: &'m CompiledModule,
-    func: &str,
-    buffers: &[BufferView],
-    iterations: usize,
-) -> Result<Runner<'m>, ExecError> {
-    let mut runner = Runner::with_opts(
-        &compiled.module,
-        compiled.options.engine,
-        compiled.options.threads,
-        compiled.options.scheduler,
-        compiled.obs.clone(),
-    )?;
-    for _ in 0..iterations {
-        let args: Vec<RtVal> = buffers.iter().cloned().map(RtVal::Buf).collect();
-        runner.call(func, args)?;
-    }
-    Ok(runner)
-}
-
-/// Runs alternating-buffer sweeps for out-of-place kernels (Jacobi):
-/// `func(X, B, Y)` with `X`/`Y` swapped every iteration. Returns the
-/// buffer holding the final solution.
+/// Runs alternating-buffer sweeps for out-of-place kernels (Jacobi) on a
+/// default runner: `func(X, B, Y)` with `X`/`Y` swapped every iteration.
+/// Returns the buffer holding the final solution.
 ///
 /// # Errors
 /// Propagates engine failures.
@@ -528,7 +433,7 @@ pub fn run_jacobi_sweeps(
     y: &BufferView,
     iterations: usize,
 ) -> Result<BufferView, ExecError> {
-    let mut runner = Runner::new(module, Engine::default(), 1)?;
+    let mut runner = default_runner(module)?;
     let mut cur = x.clone();
     let mut next = y.clone();
     for _ in 0..iterations {
@@ -545,19 +450,7 @@ pub fn run_jacobi_sweeps(
     Ok(cur)
 }
 
-/// Runs sweeps until the in-place solution stops changing: iterates
-/// `func` and measures the max-norm delta of `buffers[watch]` between
-/// consecutive sweeps; stops when it drops below `tol`. Returns the
-/// number of sweeps executed (capped at `max_sweeps`).
-///
-/// On the bytecode engine, sweeps drain through a [`SweepBatch`] of
-/// depth [`DEFAULT_SWEEP_BATCH`] and convergence is checked only at
-/// batch boundaries — the residual fold
-/// ([`BufferView::max_delta_update`]) is fused into one pass over the
-/// watched buffer per batch, so the returned count may overshoot the
-/// true stopping sweep by up to `depth − 1` sweeps (extra Gauss-Seidel
-/// sweeps past the fixed point are harmless: the fixed point is
-/// stationary). Interpreter-bound modules keep exact per-sweep pacing.
+/// [`Runner::until_converged`] on a default runner.
 ///
 /// # Errors
 /// Propagates engine failures.
@@ -568,35 +461,41 @@ pub fn run_until_converged(
     watch: usize,
     tol: f64,
     max_sweeps: usize,
-) -> Result<usize, ExecError> {
-    let mut runner = Runner::new(module, Engine::default(), 1)?;
-    let depth = if runner.supports_sweep_batching() {
-        DEFAULT_SWEEP_BATCH
-    } else {
-        1
-    };
-    let args: Vec<RtVal> = buffers.iter().cloned().map(RtVal::Buf).collect();
-    let mut previous = buffers[watch].to_vec();
-    let mut done = 0usize;
-    while done < max_sweeps {
-        let k = depth.min(max_sweeps - done);
-        runner.call_sweeps(func, args.clone(), k)?;
-        done += k;
-        // Batch boundary: one fused pass computes the max-norm delta
-        // against the last boundary and refreshes the snapshot in place.
-        let delta = buffers[watch].max_delta_update(&mut previous);
-        if delta < tol {
-            return Ok(done);
-        }
-    }
-    Ok(max_sweeps)
+) -> Result<SolveOutcome, ExecError> {
+    default_runner(module)?.until_converged(func, buffers, watch, tol, max_sweeps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use instencil_core::kernels;
-    use instencil_core::pipeline::reference_module;
+    use instencil_core::pipeline::{compile, reference_module, PipelineOptions};
+
+    fn runner(module: &Module, engine: Engine, threads: usize) -> Runner<'_> {
+        Runner::with_opts(module, engine, threads, Scheduler::Levels, Obs::off()).unwrap()
+    }
+
+    /// `n` eager calls: one `scf.execute_wavefronts` drain per sweep.
+    fn eager(runner: &mut Runner<'_>, func: &str, buffers: &[BufferView], n: usize) {
+        for _ in 0..n {
+            let args: Vec<RtVal> = buffers.iter().cloned().map(RtVal::Buf).collect();
+            runner.call(func, args).unwrap();
+        }
+    }
+
+    /// A 10×10 field with boundary 1 and interior 0: converges to all
+    /// ones under Gauss-Seidel.
+    fn boundary_one() -> [BufferView; 2] {
+        let w = BufferView::alloc(&[1, 10, 10]);
+        for i in 0..10i64 {
+            for j in 0..10i64 {
+                if i == 0 || j == 0 || i == 9 || j == 9 {
+                    w.store(&[0, i, j], 1.0);
+                }
+            }
+        }
+        [w, BufferView::alloc(&[1, 10, 10])]
+    }
 
     #[test]
     fn run_sweeps_mutates_in_place() {
@@ -614,9 +513,8 @@ mod tests {
     #[test]
     fn reference_modules_fall_back_to_interp() {
         let m = reference_module(&kernels::gauss_seidel_5pt_module()).unwrap();
-        let runner = Runner::new(&m, Engine::Bytecode, 1).unwrap();
         assert_eq!(
-            runner.engine(),
+            runner(&m, Engine::Bytecode, 1).engine(),
             Engine::Interp,
             "structured cfd ops must fall back to the tree-walker"
         );
@@ -624,93 +522,91 @@ mod tests {
 
     #[test]
     fn lowered_modules_run_on_bytecode() {
-        use instencil_core::pipeline::{compile, PipelineOptions};
         let c = compile(
             &kernels::gauss_seidel_5pt_module(),
             &PipelineOptions::new(vec![4, 4], vec![2, 2]),
         )
         .unwrap();
-        let runner = Runner::new(&c.module, Engine::Bytecode, 1).unwrap();
-        assert_eq!(runner.engine(), Engine::Bytecode);
+        assert_eq!(
+            runner(&c.module, Engine::Bytecode, 1).engine(),
+            Engine::Bytecode
+        );
     }
 
     #[test]
     fn run_until_converged_reaches_fixed_point() {
         let m = reference_module(&kernels::gauss_seidel_5pt_module()).unwrap();
-        let w = BufferView::alloc(&[1, 10, 10]);
-        // Boundary 1, interior 0 → converges to all-ones.
-        for i in 0..10i64 {
-            for j in 0..10i64 {
-                if i == 0 || j == 0 || i == 9 || j == 9 {
-                    w.store(&[0, i, j], 1.0);
-                }
-            }
-        }
-        let b = BufferView::alloc(&[1, 10, 10]);
-        let sweeps = run_until_converged(&m, "gs5", &[w.clone(), b], 0, 1e-9, 5_000).unwrap();
-        assert!(sweeps < 5_000, "must converge");
+        let [w, b] = boundary_one();
+        let outcome = run_until_converged(&m, "gs5", &[w.clone(), b], 0, 1e-9, 5_000).unwrap();
+        let SolveOutcome::Converged { sweeps } = outcome else {
+            panic!("must converge, got {outcome:?}");
+        };
+        assert!(sweeps < 5_000);
         assert!((w.load(&[0, 5, 5]) - 1.0).abs() < 1e-6);
     }
 
     #[test]
-    fn compiled_sweeps_honor_thread_and_engine_knobs() {
-        use instencil_core::pipeline::{compile, PipelineOptions};
-        let m = kernels::gauss_seidel_5pt_module();
+    fn sweeps_are_engine_and_thread_invariant() {
+        let c = compile(
+            &kernels::gauss_seidel_5pt_module(),
+            &PipelineOptions::new(vec![4, 4], vec![2, 2]),
+        )
+        .unwrap();
         let n = 12usize;
-        let init = |_: &()| {
+        let init = || {
             let w = BufferView::alloc(&[1, n, n]);
             for i in 0..n as i64 {
                 for j in 0..n as i64 {
                     w.store(&[0, i, j], ((i * 7 + j * 3) % 11) as f64 * 0.1);
                 }
             }
-            (w, BufferView::alloc(&[1, n, n]))
+            [w, BufferView::alloc(&[1, n, n])]
         };
-        let seq = compile(
-            &m,
-            &PipelineOptions::new(vec![4, 4], vec![2, 2]).engine(Engine::Interp),
-        )
-        .unwrap();
-        let par = compile(
-            &m,
-            &PipelineOptions::new(vec![4, 4], vec![2, 2]).threads(3),
-        )
-        .unwrap();
-        let (ws, bs) = init(&());
-        let stats_seq = run_compiled_sweeps(&seq, "gs5", &[ws.clone(), bs], 2).unwrap();
-        let (wp, bp) = init(&());
-        let stats_par = run_compiled_sweeps(&par, "gs5", &[wp.clone(), bp], 2).unwrap();
-        assert_eq!(ws.to_vec(), wp.to_vec(), "bit-identical across engines");
-        assert_eq!(stats_seq, stats_par, "engine- and thread-invariant stats");
-        assert!(stats_par.wavefront_levels > 0);
+        let seq_bufs = init();
+        let mut seq = runner(&c.module, Engine::Interp, 1);
+        seq.sweeps("gs5", &seq_bufs, 2).unwrap();
+        let par_bufs = init();
+        let mut par = runner(&c.module, Engine::Bytecode, 3);
+        par.sweeps("gs5", &par_bufs, 2).unwrap();
+        assert_eq!(
+            seq_bufs[0].to_vec(),
+            par_bufs[0].to_vec(),
+            "bit-identical across engines"
+        );
+        assert_eq!(
+            seq.stats(),
+            par.stats(),
+            "engine- and thread-invariant stats"
+        );
+        assert!(par.stats().wavefront_levels > 0);
     }
 
     #[test]
     fn zero_threads_resolves_to_available_parallelism() {
-        use instencil_core::pipeline::{compile, PipelineOptions};
         let c = compile(
             &kernels::gauss_seidel_5pt_module(),
             &PipelineOptions::new(vec![4, 4], vec![2, 2]).threads(0),
         )
         .unwrap();
         assert_eq!(c.options.threads, 0, "the sentinel survives compilation");
-        let runner = Runner::new(&c.module, Engine::Bytecode, 0).unwrap();
         let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(runner.threads(), auto, "0 means one worker per hw thread");
-        assert!(runner.threads() >= 1);
+        let threads = |requested| runner(&c.module, Engine::Bytecode, requested).threads();
+        assert_eq!(threads(0), auto, "0 means one worker per hw thread");
+        assert!(threads(0) >= 1);
         // Explicit counts are clamped to the host: oversubscribed
         // wavefront workers only trade useful work for context
         // switches (see `resolve_threads`).
-        let runner = Runner::new(&c.module, Engine::Bytecode, 3).unwrap();
-        assert_eq!(runner.threads(), 3.min(auto));
-        let runner = Runner::new(&c.module, Engine::Bytecode, auto + 7).unwrap();
-        assert_eq!(runner.threads(), auto, "requests beyond the host clamp");
+        assert_eq!(threads(3), 3.min(auto));
+        assert_eq!(threads(auto + 7), auto, "requests beyond the host clamp");
     }
 
     #[test]
-    fn compiled_dataflow_matches_levels_bitwise() {
-        use instencil_core::pipeline::{compile, PipelineOptions};
-        let m = kernels::gauss_seidel_5pt_module();
+    fn dataflow_matches_levels_bitwise() {
+        let c = compile(
+            &kernels::gauss_seidel_5pt_module(),
+            &PipelineOptions::new(vec![3, 3], vec![2, 2]),
+        )
+        .unwrap();
         let init = || {
             let w = BufferView::alloc(&[1, 14, 14]);
             for i in 0..14i64 {
@@ -718,65 +614,27 @@ mod tests {
                     w.store(&[0, i, j], ((i * 5 + j * 11) % 13) as f64 * 0.25);
                 }
             }
-            (w, BufferView::alloc(&[1, 14, 14]))
+            [w, BufferView::alloc(&[1, 14, 14])]
         };
-        let levels = compile(
-            &m,
-            &PipelineOptions::new(vec![3, 3], vec![2, 2]).threads(4),
-        )
-        .unwrap();
-        let dataflow = compile(
-            &m,
-            &PipelineOptions::new(vec![3, 3], vec![2, 2])
-                .threads(4)
-                .scheduler(Scheduler::Dataflow),
-        )
-        .unwrap();
-        let (wl, bl) = init();
-        let stats_l = run_compiled_sweeps(&levels, "gs5", &[wl.clone(), bl], 3).unwrap();
-        let (wd, bd) = init();
-        let stats_d = run_compiled_sweeps(&dataflow, "gs5", &[wd.clone(), bd], 3).unwrap();
-        assert_eq!(wl.to_vec(), wd.to_vec(), "bit-identical across schedulers");
+        let run = |scheduler| {
+            let bufs = init();
+            let mut r =
+                Runner::with_opts(&c.module, Engine::Bytecode, 4, scheduler, Obs::off()).unwrap();
+            eager(&mut r, "gs5", &bufs, 3);
+            (bufs[0].to_vec(), r.stats())
+        };
+        let (wl, stats_l) = run(Scheduler::Levels);
+        let (wd, stats_d) = run(Scheduler::Dataflow);
+        assert_eq!(wl, wd, "bit-identical across schedulers");
         assert_eq!(stats_l, stats_d, "scheduler-invariant statistics");
         assert!(stats_d.wavefront_levels > 0);
     }
 
     #[test]
-    fn sweep_batch_is_lazy_and_flushes_at_depth() {
-        use instencil_core::pipeline::{compile, PipelineOptions};
+    fn batched_sweeps_match_eager_bitwise() {
         let c = compile(
             &kernels::gauss_seidel_5pt_module(),
             &PipelineOptions::new(vec![4, 4], vec![2, 2]),
-        )
-        .unwrap();
-        let w = BufferView::alloc(&[1, 12, 12]);
-        w.store(&[0, 5, 5], 3.0);
-        let b = BufferView::alloc(&[1, 12, 12]);
-        let mut runner = Runner::new(&c.module, Engine::Bytecode, 1).unwrap();
-        assert!(runner.supports_sweep_batching());
-        let args = vec![RtVal::Buf(w.clone()), RtVal::Buf(b)];
-        let before = w.to_vec();
-        let mut batch = runner.sweep_batch("gs5", args, 3);
-        assert_eq!(batch.depth(), 3);
-        batch.queue().unwrap();
-        batch.queue().unwrap();
-        // Two queued, depth 3: nothing has executed yet.
-        assert_eq!(batch.pending(), 2);
-        assert_eq!(w.to_vec(), before, "queueing must not touch buffers");
-        batch.queue().unwrap(); // third sweep reaches depth → auto-flush
-        assert_eq!(batch.pending(), 0);
-        assert_ne!(w.to_vec(), before, "flush runs the queued sweeps");
-        batch.queue().unwrap();
-        batch.finish().unwrap(); // remainder of 1 drains explicitly
-        assert_eq!(runner.stats().reference_ops, 0);
-    }
-
-    #[test]
-    fn batched_sweeps_match_eager_bitwise() {
-        use instencil_core::pipeline::{compile, PipelineOptions};
-        let c = compile(
-            &kernels::gauss_seidel_5pt_module(),
-            &PipelineOptions::new(vec![4, 4], vec![2, 2]).threads(2),
         )
         .unwrap();
         let init = || {
@@ -786,49 +644,90 @@ mod tests {
                     w.store(&[0, i, j], ((i * 3 + j * 7) % 9) as f64 * 0.5);
                 }
             }
-            (w, BufferView::alloc(&[1, 13, 13]))
+            [w, BufferView::alloc(&[1, 13, 13])]
         };
-        let sweeps = 6usize;
-        let (we, be) = init();
-        let mut eager = Runner::new(&c.module, Engine::Bytecode, 2).unwrap();
-        for _ in 0..sweeps {
-            eager
-                .call("gs5", vec![RtVal::Buf(we.clone()), RtVal::Buf(be.clone())])
-                .unwrap();
+        // 11 is not a multiple of DEFAULT_SWEEP_BATCH: `Runner::sweeps`
+        // drains one full batch and a remainder of 3.
+        for sweeps in [6usize, 11] {
+            let eager_bufs = init();
+            let mut eager_runner = runner(&c.module, Engine::Bytecode, 2);
+            eager(&mut eager_runner, "gs5", &eager_bufs, sweeps);
+            let fused_bufs = init();
+            let mut fused = runner(&c.module, Engine::Bytecode, 2);
+            let args = fused_bufs.iter().cloned().map(RtVal::Buf).collect();
+            fused.call_sweeps("gs5", args, sweeps).unwrap();
+            let chunked_bufs = init();
+            let mut chunked = runner(&c.module, Engine::Bytecode, 2);
+            chunked.sweeps("gs5", &chunked_bufs, sweeps).unwrap();
+            for (what, bufs, r) in [
+                ("call_sweeps", &fused_bufs, &fused),
+                ("sweeps", &chunked_bufs, &chunked),
+            ] {
+                assert_eq!(
+                    eager_bufs[0].to_vec(),
+                    bufs[0].to_vec(),
+                    "{what}({sweeps}): bit-identical to eager sweeps"
+                );
+                assert_eq!(
+                    eager_runner.stats(),
+                    r.stats(),
+                    "{what}({sweeps}): batching-invariant stats"
+                );
+            }
         }
-        let (wb, bb) = init();
-        let mut batched = Runner::new(&c.module, Engine::Bytecode, 2).unwrap();
-        batched
-            .call_sweeps("gs5", vec![RtVal::Buf(wb.clone()), RtVal::Buf(bb)], sweeps)
-            .unwrap();
-        assert_eq!(we.to_vec(), wb.to_vec(), "bit-identical to eager sweeps");
-        assert_eq!(eager.stats(), batched.stats(), "batching-invariant stats");
     }
 
     #[test]
     fn run_until_converged_batches_on_bytecode() {
-        use instencil_core::pipeline::{compile, PipelineOptions};
         let c = compile(
             &kernels::gauss_seidel_5pt_module(),
             &PipelineOptions::new(vec![4, 4], vec![2, 2]),
         )
         .unwrap();
-        let w = BufferView::alloc(&[1, 10, 10]);
-        for i in 0..10i64 {
-            for j in 0..10i64 {
-                if i == 0 || j == 0 || i == 9 || j == 9 {
-                    w.store(&[0, i, j], 1.0);
-                }
-            }
-        }
-        let b = BufferView::alloc(&[1, 10, 10]);
-        let sweeps =
+        let [w, b] = boundary_one();
+        let outcome =
             run_until_converged(&c.module, "gs5", &[w.clone(), b], 0, 1e-9, 5_000).unwrap();
-        assert!(sweeps < 5_000, "must converge");
+        let SolveOutcome::Converged { sweeps } = outcome else {
+            panic!("must converge, got {outcome:?}");
+        };
+        assert!(sweeps < 5_000);
         // Convergence is checked at batch boundaries, so the count lands
         // on a multiple of the batch depth (unless capped).
         assert_eq!(sweeps % DEFAULT_SWEEP_BATCH, 0);
         assert!((w.load(&[0, 5, 5]) - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn until_converged_reports_max_sweeps_on_the_configured_runner() {
+        let c = compile(
+            &kernels::gauss_seidel_5pt_module(),
+            &PipelineOptions::new(vec![4, 4], vec![2, 2]),
+        )
+        .unwrap();
+        // A tolerance of zero is never met: the solve runs out of sweeps
+        // on the dataflow runner it was called on, and says so.
+        let [w, b] = boundary_one();
+        let mut solve = Runner::with_opts(
+            &c.module,
+            Engine::Bytecode,
+            2,
+            Scheduler::Dataflow,
+            Obs::off(),
+        )
+        .unwrap();
+        let outcome = solve
+            .until_converged("gs5", &[w.clone(), b], 0, 0.0, 11)
+            .unwrap();
+        assert_eq!(outcome, SolveOutcome::MaxSweeps);
+        let reference = boundary_one();
+        let mut eager_runner = runner(&c.module, Engine::Interp, 1);
+        eager(&mut eager_runner, "gs5", &reference, 11);
+        assert_eq!(
+            w.to_vec(),
+            reference[0].to_vec(),
+            "exactly max_sweeps sweeps ran"
+        );
+        assert_eq!(solve.stats(), eager_runner.stats());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!
 //! The interpreter is split into a read-only compiled view ([`ExecCtx`]:
 //! the module plus a [`WavefrontPool`]) and per-thread execution frames
-//! ([`Frame`]: the dynamic statistics). With
-//! [`Interpreter::with_threads`] `> 1`, `scf.execute_wavefronts` runs
+//! ([`Frame`]: the dynamic statistics). With more than one thread
+//! ([`Interpreter::with_opts`]), `scf.execute_wavefronts` runs
 //! each wavefront level across real OS threads through the pool —
 //! "a sequential for loop iterating over groups that contains a parallel
 //! for loop" (paper §3.4) — or, under [`Scheduler::Dataflow`], drains
@@ -77,14 +77,12 @@ struct Frame {
 }
 
 /// The interpreter: owns execution statistics across calls and the
-/// thread-count knob for wavefront execution.
+/// wavefront pool its `scf.execute_wavefronts` ops run on.
 #[derive(Debug)]
 pub struct Interpreter {
     /// Accumulated dynamic statistics.
     pub stats: ExecStats,
-    threads: usize,
-    obs: Obs,
-    scheduler: Scheduler,
+    pool: WavefrontPool,
 }
 
 impl Default for Interpreter {
@@ -94,40 +92,22 @@ impl Default for Interpreter {
 }
 
 impl Interpreter {
-    /// Creates a sequential interpreter with zeroed statistics.
+    /// Creates a sequential interpreter with zeroed statistics: the
+    /// semantic oracle.
     pub fn new() -> Self {
-        Self::with_threads(1)
+        Self::with_opts(1, Obs::off(), Scheduler::Levels)
     }
 
-    /// Creates an interpreter that executes `scf.execute_wavefronts`
-    /// levels across `threads` OS threads (minimum 1). Results are
-    /// bit-identical to the sequential interpreter for any thread count:
-    /// the Eq. (3) schedule makes sub-domains within a level write
-    /// disjoint regions.
-    pub fn with_threads(threads: usize) -> Self {
-        Self::with_opts(threads, Obs::off(), Scheduler::Levels)
-    }
-
-    /// Full-knob constructor: thread count, observability, and wavefront
-    /// scheduler mode. [`Scheduler::Dataflow`] executes the block
-    /// dependence graph point-to-point (bit-identical to levels).
+    /// An interpreter whose `scf.execute_wavefronts` ops run on
+    /// `threads` workers under `scheduler`, recording into `obs`.
+    /// Results are bit-identical to [`Interpreter::new`] for any thread
+    /// count and either scheduler: the Eq. (3) schedule makes sub-domains
+    /// within a level write disjoint regions.
     pub fn with_opts(threads: usize, obs: Obs, scheduler: Scheduler) -> Self {
         Interpreter {
             stats: ExecStats::default(),
-            threads: threads.max(1),
-            obs,
-            scheduler,
+            pool: WavefrontPool::with_opts(threads, obs, scheduler),
         }
-    }
-
-    /// The wavefront worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The wavefront scheduler mode.
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
     }
 
     /// Calls a function of `module` by name.
@@ -143,7 +123,7 @@ impl Interpreter {
     ) -> Result<Vec<RtVal>, ExecError> {
         let ctx = ExecCtx {
             module,
-            pool: WavefrontPool::with_opts(self.threads, self.obs.clone(), self.scheduler),
+            pool: &self.pool,
         };
         let mut frame = Frame::default();
         let out = ctx.call(name, args, &mut frame);
@@ -157,7 +137,7 @@ impl Interpreter {
 /// execution plus the pool that runs wavefront levels.
 struct ExecCtx<'m> {
     module: &'m Module,
-    pool: WavefrontPool,
+    pool: &'m WavefrontPool,
 }
 
 impl ExecCtx<'_> {
@@ -515,7 +495,7 @@ impl ExecCtx<'_> {
                 let grid: Vec<usize> = op
                     .operands
                     .iter()
-                    .map(|v| self.int(env, *v).map(|x| x.max(1) as usize))
+                    .map(|v| self.int(env, *v).map(|x| x.max(0) as usize))
                     .collect::<Result<_, _>>()?;
                 let (shape, data) = op
                     .attrs
@@ -1084,12 +1064,5 @@ mod tests {
         let m = Module::new("t");
         let mut interp = Interpreter::new();
         assert!(interp.call(&m, "nope", vec![]).is_err());
-    }
-
-    #[test]
-    fn threads_knob_clamps_to_one() {
-        assert_eq!(Interpreter::with_threads(0).threads(), 1);
-        assert_eq!(Interpreter::with_threads(4).threads(), 4);
-        assert_eq!(Interpreter::new().threads(), 1);
     }
 }

@@ -15,8 +15,9 @@
 //!   wall-clock measurements);
 //! * [`parallel::WavefrontPool`] — genuinely multithreaded wavefront
 //!   execution over CSR schedules (std scoped threads);
-//! * [`driver`] — sweep-loop helpers for in-place and out-of-place
-//!   kernels.
+//! * [`driver`] — [`Runner`], the one way to bind a module to an
+//!   [`Engine`] and drive its sweeps, plus three default-runner
+//!   helpers.
 //!
 //! # Example: run the compiled 5-point Gauss-Seidel
 //!
@@ -50,7 +51,7 @@ pub mod value;
 pub use buffer::BufferView;
 pub use bytecode::BytecodeEngine;
 pub use compile::{BcCompileError, BcOptions};
-pub use driver::Runner;
+pub use driver::{Engine, Runner, SolveOutcome};
 pub use interp::{ExecError, Interpreter};
 pub use parallel::WavefrontPool;
 pub use stats::ExecStats;

@@ -29,17 +29,15 @@
 //!   the barrier's publication role (see `DESIGN.md` §4f/§4g).
 //!
 //! The pool runs closures over *linearized sub-domain indices* and has
-//! two drains behind three entry points. [`WavefrontPool::try_execute`]
-//! is the one the engines use: it runs `sweeps` back-to-back executions
-//! of one `scf.execute_wavefronts` over a [`ScheduleBundle`], sending an
-//! eager levels call to the barrier drain and everything else to the
-//! graph drain — an eager dataflow call is a sweep batch of one.
-//! [`WavefrontPool::try_execute_stateful`] is the barrier drain itself
-//! over a bare [`CsrWavefronts`], and [`WavefrontPool::execute`] its
-//! stateless form. The stateful entry points give each worker private
-//! state (the engines run `scf.execute_wavefronts` bodies with a
-//! per-thread environment and statistics frame) and propagate the
-//! first error.
+//! one constructor, [`WavefrontPool::with_opts`], and one drain method,
+//! [`WavefrontPool::try_execute`]: it runs `sweeps` back-to-back
+//! executions of one `scf.execute_wavefronts` over a
+//! [`ScheduleBundle`], sending an eager levels call to the barrier drain
+//! (over the bundle's level [`CsrWavefronts`]) and everything else to
+//! the graph drain — an eager dataflow call is a sweep batch of one.
+//! Each worker keeps private state (the engines run
+//! `scf.execute_wavefronts` bodies with a per-thread environment and
+//! statistics frame), and the first error propagates.
 //!
 //! [`TaskGraph`]: instencil_pattern::dataflow::TaskGraph
 //! [`SweepGraph`]: instencil_pattern::dataflow::SweepGraph
@@ -105,14 +103,10 @@ pub struct WavefrontPool {
 }
 
 impl WavefrontPool {
-    /// Creates a pool with the given number of worker threads (minimum 1).
-    pub fn new(threads: usize) -> Self {
-        Self::with_opts(threads, Obs::off(), Scheduler::Levels)
-    }
-
-    /// Creates a pool with an explicit scheduler mode that records
-    /// per-level (and, at [`instencil_obs::ObsLevel::Trace`], per-worker)
-    /// timings into `obs`.
+    /// Creates a pool of `threads` workers (minimum 1 — the one clamp
+    /// on the worker count below [`crate::Runner`]) under `scheduler`,
+    /// recording per-level (and, at [`instencil_obs::ObsLevel::Trace`],
+    /// per-worker) timings into `obs`.
     pub fn with_opts(threads: usize, obs: Obs, scheduler: Scheduler) -> Self {
         WavefrontPool {
             threads: threads.max(1),
@@ -131,33 +125,9 @@ impl WavefrontPool {
         &self.obs
     }
 
-    /// Executes `work` for every scheduled sub-domain, level by level.
-    /// Within a level the indices are split into contiguous chunks, one
-    /// per worker; levels are separated by a barrier.
-    ///
-    /// # Panics
-    /// Propagates panics from worker closures.
-    pub fn execute<F>(&self, schedule: &CsrWavefronts, work: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let result: Result<(), std::convert::Infallible> = self.try_execute_stateful(
-            schedule,
-            || (),
-            |(), b| {
-                work(b);
-                Ok(())
-            },
-            |()| {},
-        );
-        match result {
-            Ok(()) => {}
-            Err(never) => match never {},
-        }
-    }
-
-    /// Executes a fallible `work` closure over every scheduled sub-domain
-    /// with per-worker state, level by level.
+    /// The barrier drain of [`try_execute`](Self::try_execute): runs a
+    /// fallible `work` closure over every scheduled sub-domain with
+    /// per-worker state, level by level.
     ///
     /// Each worker thread gets its own state from `init` once for the
     /// whole run (the pool is persistent — workers are spawned once, and
@@ -181,7 +151,7 @@ impl WavefrontPool {
     /// # Panics
     /// Propagates panics from worker closures (the original payload is
     /// re-raised once every worker has parked).
-    pub fn try_execute_stateful<S, E, I, W, M>(
+    fn try_execute_stateful<S, E, I, W, M>(
         &self,
         schedule: &CsrWavefronts,
         init: I,
@@ -411,8 +381,7 @@ impl WavefrontPool {
     /// block of every sweep. This is the entry point both engines use.
     ///
     /// An eager call (`sweeps == 1`) under [`Scheduler::Levels`] takes
-    /// the barrier drain ([`try_execute_stateful`](Self::try_execute_stateful)
-    /// over `bundle.csr`); everything else — eager dataflow and every
+    /// the barrier drain over `bundle.csr`; everything else — eager dataflow and every
     /// batch — takes the graph drain, where an eager call is simply a
     /// batch of one sweep. A batch never takes the barrier drain: a
     /// level barrier would serialize the sweeps and defeat the batching.
@@ -447,10 +416,14 @@ impl WavefrontPool {
     /// barrier. In debug builds every buffer store is checked against
     /// the write intervals of unordered nodes ([`overlap::SweepChecker`]).
     ///
-    /// State and merge semantics match
-    /// [`try_execute_stateful`](Self::try_execute_stateful); under
-    /// concurrency the graph drain's "first error" is the first one
-    /// *observed*, which is deterministic only at one thread.
+    /// Each worker gets its own state from `init` once for the whole
+    /// run; when the run finishes (or fails), every worker's state —
+    /// including the partial state of a failed worker — is handed to
+    /// `merge` on the calling thread, so additive counters such as
+    /// [`crate::ExecStats`] stay consistent. The barrier drain reports
+    /// the earliest failing level's error and starts no level after a
+    /// failure; under concurrency the graph drain's "first error" is the
+    /// first one *observed*, which is deterministic only at one thread.
     ///
     /// # Errors
     /// Returns the first observed error produced by `work`; remaining
@@ -853,13 +826,32 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
+    /// A pool under the levels scheduler: the barrier drain.
+    fn levels_pool(threads: usize) -> WavefrontPool {
+        WavefrontPool::with_opts(threads, Obs::off(), Scheduler::Levels)
+    }
+
+    /// Runs the infallible, stateless `work` through the barrier drain.
+    fn execute(pool: &WavefrontPool, csr: &CsrWavefronts, work: impl Fn(usize) + Sync) {
+        pool.try_execute_stateful(
+            csr,
+            || (),
+            |(), b| {
+                work(b);
+                Ok::<(), ()>(())
+            },
+            |()| {},
+        )
+        .unwrap();
+    }
+
     #[test]
     fn executes_every_block_once() {
         let s = WavefrontSchedule::compute(&[4, 4], &[vec![-1, 0], vec![0, -1]]);
         let csr = s.into_wavefronts();
         let count = AtomicUsize::new(0);
         let seen = Mutex::new(vec![false; 16]);
-        WavefrontPool::new(4).execute(&csr, |b| {
+        execute(&levels_pool(4), &csr, |b| {
             count.fetch_add(1, Ordering::SeqCst);
             let mut seen = seen.lock().unwrap();
             assert!(!seen[b], "block {b} executed twice");
@@ -878,7 +870,7 @@ mod tests {
         let csr = sched.wavefronts().clone();
         let clock = AtomicUsize::new(0);
         let stamps: Vec<AtomicUsize> = (0..25).map(|_| AtomicUsize::new(0)).collect();
-        WavefrontPool::new(3).execute(&csr, |b| {
+        execute(&levels_pool(3), &csr, |b| {
             let t = clock.fetch_add(1, Ordering::SeqCst);
             stamps[b].store(t + 1, Ordering::SeqCst);
         });
@@ -904,7 +896,7 @@ mod tests {
     fn single_thread_path() {
         let csr = CsrWavefronts::from_rows(vec![vec![0, 1], vec![2]]);
         let order = Mutex::new(Vec::new());
-        WavefrontPool::new(1).execute(&csr, |b| order.lock().unwrap().push(b));
+        execute(&levels_pool(1), &csr, |b| order.lock().unwrap().push(b));
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
     }
 
@@ -915,7 +907,7 @@ mod tests {
         for threads in [1usize, 2, 4, 8] {
             let mut total = 0usize;
             let mut merges = 0usize;
-            WavefrontPool::new(threads)
+            levels_pool(threads)
                 .try_execute_stateful(
                     &csr,
                     || 0usize,
@@ -940,7 +932,7 @@ mod tests {
         let csr = CsrWavefronts::from_rows(vec![vec![0, 1], vec![2, 3]]);
         for threads in [1usize, 3] {
             let mut total = 0usize;
-            let err = WavefrontPool::new(threads)
+            let err = levels_pool(threads)
                 .try_execute_stateful(
                     &csr,
                     || 0usize,
@@ -964,7 +956,7 @@ mod tests {
     fn stateful_empty_schedule() {
         let csr = CsrWavefronts::from_rows(vec![vec![], vec![]]);
         let mut merges = 0usize;
-        WavefrontPool::new(4)
+        levels_pool(4)
             .try_execute_stateful(&csr, || (), |(), _| Ok::<(), ()>(()), |()| merges += 1)
             .unwrap();
         // No level spawns workers, so nothing to merge (multi-thread path).
@@ -975,7 +967,7 @@ mod tests {
     fn stateful_propagates_worker_panics_with_payload() {
         let csr = CsrWavefronts::from_rows(vec![vec![0, 1, 2, 3]]);
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            WavefrontPool::new(2)
+            levels_pool(2)
                 .try_execute_stateful(
                     &csr,
                     || (),
@@ -1219,7 +1211,7 @@ mod tests {
     }
 
     #[test]
-    fn eager_dataflow_is_a_one_sweep_batch() {
+    fn eager_dataflow_is_a_batch_of_one_sweep() {
         // An eager dataflow call is the graph drain at k = 1: one
         // `sweeps: 1` dataflow record, task events tagged sweep 0 (not
         // batched). The same call under levels takes the barrier drain.

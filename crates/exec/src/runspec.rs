@@ -801,18 +801,6 @@ pub(crate) fn build_plan(
     debug_assert!(row_cursor as usize <= row_budget);
     fuse_stream_loads(scratch);
     build_steady(scratch, n, row_budget, vals_end);
-    if std::env::var_os("INSTENCIL_RUN_DEBUG").is_some() && scratch.cached_spec == 0 {
-        eprintln!(
-            "plan: probe={} probe_iv={} ops={} accs={}",
-            spec.probe.len(),
-            spec.probe_iv.len(),
-            spec.ops.len(),
-            scratch.acc.len()
-        );
-        eprintln!("plan: stream={:?}", scratch.stream);
-        eprintln!("plan: rec_first={:?}", scratch.rec_first);
-        eprintln!("plan: rec_steady={:?}", scratch.rec_steady);
-    }
     // Record the cache signature for the next run (over the merged
     // table: per-op signatures are an affine expansion of the entry
     // signatures, so entry-level equality implies op-level equality).

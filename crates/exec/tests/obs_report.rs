@@ -3,10 +3,11 @@
 //! that `ObsLevel::Off` produces the byte-identical default report.
 
 use instencil_core::kernels;
-use instencil_core::pipeline::{compile, reference_module, Engine, PipelineOptions, Scheduler};
+use instencil_core::pipeline::{
+    compile, reference_module, CompiledModule, PipelineOptions, Scheduler,
+};
 use instencil_exec::buffer::BufferView;
-use instencil_exec::driver::{run_compiled_report, run_compiled_sweeps, Runner};
-use instencil_exec::RtVal;
+use instencil_exec::{Engine, RtVal, Runner};
 use instencil_obs::trace::TraceKind;
 use instencil_obs::{Obs, ObsLevel, RunReport};
 
@@ -20,6 +21,31 @@ fn gs5_buffers(n: usize) -> Vec<BufferView> {
     vec![w, BufferView::alloc(&[1, n, n])]
 }
 
+/// Binds `c` to bytecode on the threads and scheduler of its options,
+/// recording into its own collector (the one its passes recorded into).
+fn runner_for(c: &CompiledModule, threads: usize) -> Runner<'_> {
+    Runner::with_opts(
+        &c.module,
+        Engine::Bytecode,
+        threads,
+        c.options.scheduler,
+        c.obs.clone(),
+    )
+    .unwrap()
+}
+
+/// Runs `sweeps` eager calls of `gs5` on `c`'s runner: one
+/// `scf.execute_wavefronts` drain per call, so a levels run takes the
+/// barrier drain and records per-level walls.
+fn run_eager<'m>(c: &'m CompiledModule, buffers: &[BufferView], sweeps: usize) -> Runner<'m> {
+    let mut runner = runner_for(c, c.options.threads);
+    for _ in 0..sweeps {
+        let args: Vec<RtVal> = buffers.iter().cloned().map(RtVal::Buf).collect();
+        runner.call("gs5", args).unwrap();
+    }
+    runner
+}
+
 #[test]
 fn engine_fallback_is_an_event_surfaced_in_the_report() {
     // Reference modules keep structured cfd ops, which the bytecode
@@ -28,7 +54,8 @@ fn engine_fallback_is_an_event_surfaced_in_the_report() {
     // fallback used to be observable only as wall-clock time).
     let m = reference_module(&kernels::gauss_seidel_5pt_module()).unwrap();
     let obs = Obs::new(ObsLevel::Summary);
-    let mut runner = Runner::with_obs(&m, Engine::Bytecode, 1, obs.clone()).unwrap();
+    let mut runner =
+        Runner::with_opts(&m, Engine::Bytecode, 1, Scheduler::Levels, obs.clone()).unwrap();
     assert_eq!(runner.requested_engine(), Engine::Bytecode);
     assert_eq!(runner.engine(), Engine::Interp);
     assert!(runner.fallback_reason().unwrap().contains("unsupported"));
@@ -65,7 +92,7 @@ fn no_fallback_event_when_bytecode_compiles() {
     )
     .unwrap();
     let obs = Obs::new(ObsLevel::Summary);
-    let runner = Runner::with_obs(&c.module, Engine::Bytecode, 1, obs).unwrap();
+    let runner = Runner::with_opts(&c.module, Engine::Bytecode, 1, Scheduler::Levels, obs).unwrap();
     assert_eq!(runner.engine(), Engine::Bytecode);
     assert!(runner.fallback_reason().is_none());
     let report = runner.report();
@@ -86,7 +113,7 @@ fn worker_busy_never_exceeds_level_wall() {
     )
     .unwrap();
     let buffers = gs5_buffers(16);
-    run_compiled_sweeps(&c, "gs5", &buffers, 2).unwrap();
+    run_eager(&c, &buffers, 2);
     let rec = c.obs.snapshot();
     assert!(!rec.wavefronts.is_empty(), "wavefront records must exist");
     // The runner clamps explicit thread requests to the host's
@@ -124,7 +151,7 @@ fn summary_level_skips_worker_detail_but_keeps_level_walls() {
     )
     .unwrap();
     let buffers = gs5_buffers(16);
-    run_compiled_sweeps(&c, "gs5", &buffers, 1).unwrap();
+    run_eager(&c, &buffers, 1);
     let rec = c.obs.snapshot();
     assert!(!rec.wavefronts.is_empty());
     for w in &rec.wavefronts {
@@ -144,7 +171,7 @@ fn off_produces_the_byte_identical_default_report() {
     .unwrap();
     assert!(!c.obs.enabled());
     let buffers = gs5_buffers(12);
-    let report = run_compiled_report(&c, "gs5", &buffers, 2).unwrap();
+    let report = run_eager(&c, &buffers, 2).report();
     assert_eq!(report, RunReport::default());
     assert_eq!(
         report.to_json().to_string(),
@@ -164,8 +191,8 @@ fn observed_runs_match_unobserved_runs_bit_for_bit() {
     let c_trace = compile(&m, &opts.obs(ObsLevel::Trace)).unwrap();
     let b_off = gs5_buffers(16);
     let b_trace = gs5_buffers(16);
-    let s_off = run_compiled_sweeps(&c_off, "gs5", &b_off, 3).unwrap();
-    let s_trace = run_compiled_sweeps(&c_trace, "gs5", &b_trace, 3).unwrap();
+    let s_off = run_eager(&c_off, &b_off, 3).stats();
+    let s_trace = run_eager(&c_trace, &b_trace, 3).stats();
     assert_eq!(b_off[0].to_vec(), b_trace[0].to_vec());
     assert_eq!(s_off, s_trace, "stats are obs-invariant");
 }
@@ -186,7 +213,7 @@ fn runspec_accepts_vector_loops_without_decline_events() {
                 .obs(ObsLevel::Summary),
         )
         .unwrap();
-        let runner = Runner::with_obs(&c.module, Engine::Bytecode, 1, c.obs.clone()).unwrap();
+        let runner = runner_for(&c, 1);
         assert_eq!(runner.engine(), Engine::Bytecode);
         let rec = c.obs.snapshot();
         assert!(
@@ -214,7 +241,7 @@ fn trace_rings_record_tasks_under_both_schedulers() {
         )
         .unwrap();
         let buffers = gs5_buffers(16);
-        run_compiled_sweeps(&c, "gs5", &buffers, 2).unwrap();
+        run_eager(&c, &buffers, 2);
         let rec = c.obs.snapshot();
         assert!(!rec.rings.is_empty(), "{scheduler:?}: rings must exist");
         let tasks: usize = rec
@@ -240,8 +267,7 @@ fn trace_rings_record_tasks_under_both_schedulers() {
             .iter()
             .any(|h| h.name == "task_ns" && h.count > 0));
         // And the driver exports the same rings as a valid Chrome trace.
-        let runner = Runner::with_obs(&c.module, Engine::Bytecode, 2, c.obs.clone()).unwrap();
-        let doc = runner.chrome_trace();
+        let doc = runner_for(&c, 2).chrome_trace();
         instencil_obs::trace::validate_chrome_trace(&doc)
             .unwrap_or_else(|e| panic!("{scheduler:?}: {e}"));
         assert!(doc.contains("\"task\""));
@@ -256,7 +282,7 @@ fn trace_rings_record_tasks_under_both_schedulers() {
     )
     .unwrap();
     let buffers = gs5_buffers(16);
-    run_compiled_sweeps(&c, "gs5", &buffers, 1).unwrap();
+    run_eager(&c, &buffers, 1);
     assert!(c.obs.snapshot().rings.is_empty());
 }
 
@@ -269,8 +295,7 @@ fn report_aggregates_sweeps_at_multiple_thread_counts() {
     .unwrap();
     let buffers = gs5_buffers(16);
     for threads in [1usize, 2] {
-        let mut runner =
-            Runner::with_obs(&c.module, Engine::Bytecode, threads, c.obs.clone()).unwrap();
+        let mut runner = runner_for(&c, threads);
         for _ in 0..2 {
             let args: Vec<RtVal> = buffers.iter().cloned().map(RtVal::Buf).collect();
             runner.call("gs5", args).unwrap();

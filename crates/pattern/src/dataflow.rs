@@ -80,14 +80,13 @@ pub struct BlockGraph {
 impl BlockGraph {
     /// Builds the graph for `grid` under the given (lexicographically
     /// negative) dependence offsets. `O(n_blocks × |deps|)`, like the
-    /// Eq. (3) sweep itself.
+    /// Eq. (3) sweep itself. A zero extent yields the empty graph.
     ///
     /// # Panics
-    /// Panics if `grid` is empty, any extent is zero, the total block
-    /// count exceeds `u32::MAX`, or a dependence rank mismatches.
+    /// Panics if `grid` is empty, the total block count exceeds
+    /// `u32::MAX`, or a dependence rank mismatches.
     pub fn build(grid: &[usize], deps: &[Offset]) -> Self {
         assert!(!grid.is_empty(), "grid must have rank >= 1");
-        assert!(grid.iter().all(|&n| n > 0), "grid extents must be positive");
         for d in deps {
             assert_eq!(d.len(), grid.len(), "dependence rank mismatch");
         }
@@ -567,8 +566,15 @@ pub fn schedule_bundle(grid: &[usize], deps: &[Offset]) -> Arc<ScheduleBundle> {
     if let Some(hit) = map.get(&key) {
         return Arc::clone(hit);
     }
+    // A zero extent (an empty interior) has no blocks: the empty
+    // schedule, which both drains run as a no-op.
+    let csr = if grid.contains(&0) {
+        CsrWavefronts::from_rows(Vec::new())
+    } else {
+        WavefrontSchedule::compute(grid, deps).into_wavefronts()
+    };
     let bundle = Arc::new(ScheduleBundle {
-        csr: WavefrontSchedule::compute(grid, deps).into_wavefronts(),
+        csr,
         graph: Arc::new(BlockGraph::build(grid, deps)),
         tasks: Mutex::new(Vec::new()),
         sweep_graphs: Mutex::new(Vec::new()),
@@ -645,6 +651,19 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "second call must hit the cache");
         assert_eq!(a.csr.num_blocks(), 42);
         assert_eq!(a.graph.num_blocks(), 42);
+    }
+
+    #[test]
+    fn zero_extent_grid_is_the_empty_schedule() {
+        let deps = vec![vec![-1i64, 0], vec![0, -1]];
+        for grid in [[0usize, 5], [3, 0], [0, 0]] {
+            let bundle = schedule_bundle(&grid, &deps);
+            assert_eq!(bundle.csr.num_levels(), 0, "{grid:?}");
+            assert_eq!(bundle.csr.num_blocks(), 0, "{grid:?}");
+            assert_eq!(bundle.graph.num_blocks(), 0, "{grid:?}");
+            assert_eq!(bundle.graph.num_edges(), 0, "{grid:?}");
+            assert_eq!(bundle.task_graph(4).num_tasks(), 0, "{grid:?}");
+        }
     }
 
     #[test]

@@ -102,7 +102,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // under a Trace collector and print where that idle time lands.
     let threads = 4usize;
     let obs = Obs::new(ObsLevel::Trace);
-    let mut runner = Runner::with_obs(&compiled.module, Engine::Bytecode, threads, obs)?;
+    let mut runner = Runner::with_opts(
+        &compiled.module,
+        Engine::Bytecode,
+        threads,
+        Scheduler::Levels,
+        obs,
+    )?;
     for _ in 0..steps {
         dw.fill(0.0);
         b.fill(0.0);

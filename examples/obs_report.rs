@@ -68,7 +68,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let w = BufferView::alloc(&shape);
         w.store(&[0, domain[0] as i64 / 2, domain[1] as i64 / 2], 1.0);
         let b = BufferView::alloc(&shape);
-        let mut runner = Runner::with_obs(&compiled.module, Engine::Bytecode, threads, obs.clone())?;
+        let mut runner = Runner::with_opts(
+            &compiled.module,
+            Engine::Bytecode,
+            threads,
+            Scheduler::Levels,
+            obs.clone(),
+        )?;
         for _ in 0..sweeps {
             let args = vec![RtVal::Buf(w.clone()), RtVal::Buf(b.clone())];
             runner.call("gs5", args)?;

@@ -21,8 +21,9 @@
 use std::time::Instant;
 
 use instencil_core::kernels;
-use instencil_core::pipeline::{compile, PipelineOptions};
-use instencil_exec::{buffer::BufferView, BytecodeEngine, RtVal};
+use instencil_core::pipeline::{compile, PipelineOptions, Scheduler};
+use instencil_exec::{buffer::BufferView, BcOptions, BytecodeEngine, RtVal};
+use instencil_obs::Obs;
 
 /// ns/point of one gs5 sweep, min of 40 samples after a warmup call.
 fn bench(vf: Option<usize>, sub: Vec<usize>, tile: Vec<usize>, shape: &[usize]) -> f64 {
@@ -31,7 +32,14 @@ fn bench(vf: Option<usize>, sub: Vec<usize>, tile: Vec<usize>, shape: &[usize]) 
     let buffers: Vec<BufferView> = (0..2).map(|_| BufferView::alloc(shape)).collect();
     buffers[0].fill(1.0);
     let args = || -> Vec<RtVal> { buffers.iter().cloned().map(RtVal::Buf).collect() };
-    let mut e = BytecodeEngine::compile(&c.module).unwrap();
+    let mut e = BytecodeEngine::compile(
+        &c.module,
+        1,
+        Scheduler::Levels,
+        Obs::off(),
+        BcOptions::default(),
+    )
+    .unwrap();
     e.call("gs5", args()).unwrap();
     let points: usize = shape.iter().product();
     let mut best = f64::INFINITY;

@@ -16,6 +16,7 @@
 //! EXPERIMENTS.md "dataflow vs levels, seen in Perfetto" recipe.
 
 use instencil::core::pipeline::compile;
+use instencil::exec::BcOptions;
 use instencil::obs::report::validate_report_json;
 use instencil::obs::trace::{self, TraceKind};
 use instencil::prelude::*;
@@ -45,8 +46,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // worker count is exactly `threads`, host parallelism
         // notwithstanding — the trace wants one lane per worker.
         let obs = Obs::new(ObsLevel::Trace);
-        let mut engine = BytecodeEngine::compile_with_obs(&compiled.module, threads, obs.clone())?
-            .with_scheduler(scheduler);
+        let mut engine = BytecodeEngine::compile(
+            &compiled.module,
+            threads,
+            scheduler,
+            obs.clone(),
+            BcOptions::default(),
+        )?;
 
         let w0 = vortex_initial(n);
         let w = BufferView::from_data(&shape, w0.data().to_vec());

@@ -9,8 +9,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use instencil::pattern::blockdeps::block_dependences;
-use instencil::pattern::{presets, WavefrontSchedule};
-use instencil::prelude::WavefrontPool;
+use instencil::pattern::dataflow::schedule_bundle;
+use instencil::prelude::*;
 
 fn main() {
     // The 9-point Gauss-Seidel: its (-1, +1) offset pins tiles to one
@@ -48,12 +48,23 @@ fn main() {
         s5.wavefronts().max_parallelism()
     );
 
-    // Execute with real threads: count per-level concurrency.
+    // Execute one sweep with real threads under the level barrier: the
+    // bundle carries the same Eq. (3) levels as `s5`.
     let executed = AtomicUsize::new(0);
-    let pool = WavefrontPool::new(4);
-    pool.execute(s5.wavefronts(), |_block| {
-        executed.fetch_add(1, Ordering::SeqCst);
-    });
+    let pool = WavefrontPool::with_opts(4, Obs::off(), Scheduler::Levels);
+    let bundle = schedule_bundle(&grid, &deps5);
+    assert_eq!(bundle.csr.num_levels(), s5.num_levels());
+    pool.try_execute(
+        &bundle,
+        1,
+        || (),
+        |(), _sweep, _block| {
+            executed.fetch_add(1, Ordering::SeqCst);
+            Ok::<(), ()>(())
+        },
+        |()| {},
+    )
+    .expect("infallible work");
     println!(
         "executed {} blocks on {} worker threads, level by level",
         executed.load(Ordering::SeqCst),

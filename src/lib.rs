@@ -58,13 +58,14 @@ pub mod prelude {
         build_face_iterator, build_pointwise, build_stencil, PointwiseSpec, StencilSpec,
         StencilYield,
     };
-    pub use instencil_core::pipeline::{compile, reference_module, Engine, PipelineOptions};
+    pub use instencil_core::pipeline::{compile, reference_module, PipelineOptions};
     pub use instencil_exec::buffer::BufferView;
     pub use instencil_exec::driver::{
-        run_compiled_report, run_compiled_sweeps, run_jacobi_sweeps, run_sweeps,
-        run_sweeps_opts, run_until_converged, SweepBatch, DEFAULT_SWEEP_BATCH,
+        run_jacobi_sweeps, run_sweeps, run_until_converged, DEFAULT_SWEEP_BATCH,
     };
-    pub use instencil_exec::{BytecodeEngine, Interpreter, RtVal, Runner, WavefrontPool};
+    pub use instencil_exec::{
+        BytecodeEngine, Engine, Interpreter, RtVal, Runner, SolveOutcome, WavefrontPool,
+    };
     pub use instencil_obs::{Obs, ObsLevel, RunReport};
     pub use instencil_ir::{FuncBuilder, Module, Type};
     pub use instencil_machine::{autotune, estimate_sweep, xeon_6152_dual, RunConfig};

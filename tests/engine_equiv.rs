@@ -85,10 +85,10 @@ fn check_all_engines(
     for threads in THREAD_COUNTS {
         let run = |engine: Engine, scheduler: Scheduler| {
             let bufs: Vec<BufferView> = (0..n_buffers).map(|_| seeded(shape)).collect();
-            let stats =
-                run_sweeps_opts(module, func, &bufs, sweeps, threads, engine, scheduler)
-                    .unwrap();
-            (bufs[0].to_vec(), stats)
+            let mut runner =
+                Runner::with_opts(module, engine, threads, scheduler, Obs::off()).unwrap();
+            runner.sweeps(func, &bufs, sweeps).unwrap();
+            (bufs[0].to_vec(), runner.stats())
         };
         let (expect, stats_i) = run(Engine::Interp, Scheduler::Levels);
         for scheduler in SCHEDULERS {
@@ -126,7 +126,7 @@ fn check_batched_matches_eager(
                 let mut runner =
                     Runner::with_opts(module, Engine::Bytecode, threads, scheduler, Obs::off())
                         .unwrap();
-                assert!(runner.supports_sweep_batching(), "{what}: lowered module");
+                assert_eq!(runner.engine(), Engine::Bytecode, "{what}: lowered module");
                 let args: Vec<RtVal> = bufs.iter().cloned().map(RtVal::Buf).collect();
                 let mut done = 0usize;
                 while done < total {
@@ -250,16 +250,13 @@ fn lusgs_engines_match() {
         for _ in 0..2 {
             dw.fill(0.0);
             b.fill(0.0);
-            stats = run_sweeps_opts(
-                &compiled.module,
-                "euler_step",
-                &[w.clone(), dw.clone(), b.clone()],
-                1,
-                threads,
-                engine,
-                scheduler,
-            )
-            .expect("euler step runs");
+            let mut runner =
+                Runner::with_opts(&compiled.module, engine, threads, scheduler, Obs::off())
+                    .unwrap();
+            runner
+                .sweeps("euler_step", &[w.clone(), dw.clone(), b.clone()], 1)
+                .expect("euler step runs");
+            stats = runner.stats();
         }
         (w.to_vec(), stats)
     };

@@ -22,6 +22,7 @@
 //! `#[cfg(debug_assertions)]`-gated; the clean half runs everywhere.
 
 use instencil::core::ops::build_get_parallel_blocks;
+use instencil::exec::BcOptions;
 use instencil::ir::{attr::AttrMap, OpCode};
 use instencil::prelude::*;
 
@@ -85,7 +86,7 @@ fn run_interp(m: &Module) {
 
 fn run_bytecode(m: &Module) {
     let b = BufferView::alloc(&[4]);
-    BytecodeEngine::compile(m)
+    BytecodeEngine::compile(m, 1, Scheduler::Levels, Obs::off(), BcOptions::default())
         .expect("wavefront module compiles")
         .call("wf", vec![RtVal::Buf(b)])
         .expect("wavefront module runs");
@@ -103,9 +104,8 @@ fn run_interp_dataflow(m: &Module) {
 
 fn run_bytecode_dataflow(m: &Module) {
     let b = BufferView::alloc(&[4]);
-    BytecodeEngine::compile_with_threads(m, 2)
+    BytecodeEngine::compile(m, 2, Scheduler::Dataflow, Obs::off(), BcOptions::default())
         .expect("wavefront module compiles")
-        .with_scheduler(Scheduler::Dataflow)
         .call("wf", vec![RtVal::Buf(b)])
         .expect("wavefront module runs");
 }

@@ -56,17 +56,16 @@ fn sor_parallel_matches_sequential_bitwise() {
         let u_seq = seeded(&shape);
         let b_seq = seeded(&shape);
         let sweep = |bufs: &[BufferView], threads: usize| {
-            let engine = Engine::default();
-            run_sweeps_opts(
+            let mut runner = Runner::with_opts(
                 &compiled.module,
-                "sor",
-                bufs,
-                3,
+                Engine::default(),
                 threads,
-                engine,
                 Scheduler::Levels,
+                Obs::off(),
             )
-            .unwrap()
+            .unwrap();
+            runner.sweeps("sor", bufs, 3).unwrap();
+            runner.stats()
         };
         let stats_seq = sweep(&[u_seq.clone(), b_seq], 1);
         assert!(
@@ -114,7 +113,7 @@ fn lusgs_parallel_matches_sequential_bitwise() {
             let w = BufferView::from_data(&shape, w0.data().to_vec());
             let dw = BufferView::alloc(&shape);
             let b = BufferView::alloc(&shape);
-            let mut interp = Interpreter::with_threads(threads);
+            let mut interp = Interpreter::with_opts(threads, Obs::off(), Scheduler::Levels);
             for _ in 0..2 {
                 dw.fill(0.0);
                 b.fill(0.0);

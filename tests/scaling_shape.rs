@@ -134,14 +134,14 @@ fn coarsened_tasks_match_levels_bitwise_across_engines_and_threads() {
                 interp.stats
             }
             Some(opts) => {
-                let mut eng = BytecodeEngine::compile_with_opts(
+                let mut eng = BytecodeEngine::compile(
                     &compiled.module,
                     threads,
+                    scheduler,
                     instencil::obs::Obs::off(),
                     opts,
                 )
-                .unwrap()
-                .with_scheduler(scheduler);
+                .unwrap();
                 for _ in 0..2 {
                     eng.call("sor", args.clone()).unwrap();
                 }

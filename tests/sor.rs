@@ -104,11 +104,12 @@ fn overrelaxation_accelerates_generated_convergence() {
 }
 
 #[test]
-fn nan_seeded_sor_runs_to_max_sweeps() {
+fn nan_seeded_sor_stops_as_non_finite() {
     // A NaN seeded at the center spreads through the in-place sweeps
     // until only the fixed boundary stays finite. The residual must read
-    // NaN (never "no change"), so the solve runs to its sweep cap
-    // instead of returning the diverged field as converged.
+    // NaN (never "no change"), so the solve stops at the first batch
+    // boundary and reports the diverged field as such — neither as
+    // converged nor by running on to its sweep cap.
     let n = 17;
     let module = kernels::sor_module(1.5);
     let compiled = compile(&module, &PipelineOptions::new(vec![8, 8], vec![4, 4])).unwrap();
@@ -116,9 +117,15 @@ fn nan_seeded_sor_runs_to_max_sweeps() {
     u.store(&[0, n as i64 / 2, n as i64 / 2], f64::NAN);
     let b = BufferView::alloc(&[1, n, n]);
     let cap = 40;
-    let sweeps =
+    let outcome =
         run_until_converged(&compiled.module, "sor", &[u.clone(), b], 0, 1e-8, cap).unwrap();
-    assert_eq!(sweeps, cap, "a NaN field must never read as converged");
+    assert_eq!(
+        outcome,
+        SolveOutcome::NonFinite {
+            sweeps: DEFAULT_SWEEP_BATCH
+        },
+        "a NaN field must stop the solve at the first batch boundary"
+    );
     assert!(
         u.to_vec().iter().any(|x| x.is_nan()),
         "the NaN must have spread"
