@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: build, test, lint — the same three gates a PR must pass.
 #
+# Every step runs even when an earlier one failed; the failed steps are
+# listed at the end and the script then exits non-zero.
+#
 # Offline operation
 # -----------------
 # The workspace has zero external dependencies (randomness / property
@@ -26,25 +29,34 @@ cd "$(dirname "$0")"
 OFFLINE="--offline"
 cargo --offline --version >/dev/null 2>&1 || OFFLINE=""
 
+# Runs one step's command; a failure is recorded and CI carries on.
+FAILED=()
+run() {
+    if ! "$@"; then
+        echo "!! step failed: $*"
+        FAILED+=("$*")
+    fi
+}
+
 echo "==> cargo build --release"
-cargo build $OFFLINE --workspace --release
+run cargo build $OFFLINE --workspace --release
 
 echo "==> solvebench build (the benchmark compiles against the public API)"
 # solvebench is its own package outside the workspace; building it here
 # makes a public-API change that breaks the benchmark fail CI.
-cargo build $OFFLINE --release --manifest-path solvebench/Cargo.toml
+run cargo build $OFFLINE --release --manifest-path solvebench/Cargo.toml
 
 echo "==> cargo test"
-cargo test $OFFLINE --workspace -q
+run cargo test $OFFLINE --workspace -q
 
 echo "==> cargo clippy -D warnings"
-cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
+run cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
 
 echo "==> overlap checker (debug profile — the checker compiles out in release)"
 # The non-atomic tile views of the run-specialized engine are sound only
 # under Eq. (3) disjoint scheduling; these tests prove the debug checker
 # both accepts a correct schedule and panics on a deliberate mis-schedule.
-cargo test $OFFLINE --test overlap_checker
+run cargo test $OFFLINE --test overlap_checker
 
 echo "==> dataflow scheduler ordering property (debug profile)"
 # The pool has one dataflow drain, over the sweep-extended graph; an
@@ -55,7 +67,7 @@ echo "==> dataflow scheduler ordering property (debug profile)"
 # through the single entry point, both eagerly (the intra-sweep Eq. (3)
 # ordering) and batched (plus the cross-sweep self anti dependence and
 # forward-neighbor flow dependence into the next sweep).
-cargo test $OFFLINE --test dataflow_trace
+run cargo test $OFFLINE --test dataflow_trace
 
 echo "==> batched sweep equivalence (debug profile — sweep checker active)"
 # Cross-sweep batching must stay bit- and stats-identical to eager
@@ -66,14 +78,14 @@ echo "==> batched sweep equivalence (debug profile — sweep checker active)"
 # profile keeps the graph drain's overlap checker armed, so a
 # mis-batched schedule panics instead of silently producing matching
 # bits.
-cargo test $OFFLINE --test engine_equiv batched
+run cargo test $OFFLINE --test engine_equiv batched
 
 echo "==> scaling shape fence (release profile — timing asserts are noise in debug)"
 # Regression fence for the inverse-scaling bug (ROADMAP item 4): ns/point
 # must be monotone non-increasing from 1 to 4 threads on LU-SGS and SOR
 # Tr2 under both wavefront schedulers, and coarsened dataflow tasks must
 # stay bit- and stats-identical to sequential levels execution.
-cargo test $OFFLINE --release --test scaling_shape
+run cargo test $OFFLINE --release --test scaling_shape
 
 echo "==> engines bench smoke (engines matrix + vectorization + scaling gates, writes BENCH_exec.json)"
 # Besides the engine comparison this runs the vectorization gate (every
@@ -85,7 +97,7 @@ echo "==> engines bench smoke (engines matrix + vectorization + scaling gates, w
 # JSON persists. The temporal section measures batched sweeps at depths
 # 1/2/4/8 and gates batched LU-SGS at the cost-model depth at <= 0.9x
 # eager (the >= 1.1x amortization bar).
-INSTENCIL_BENCH_FAST=1 cargo bench $OFFLINE -p instencil-bench --bench engines
+run env INSTENCIL_BENCH_FAST=1 cargo bench $OFFLINE -p instencil-bench --bench engines
 
 echo "==> bench report schema gate (BENCH_exec_report.json vs obs schema)"
 # Also asserts worker records carry the steal_dist/fused counters, that
@@ -94,12 +106,12 @@ echo "==> bench report schema gate (BENCH_exec_report.json vs obs schema)"
 # (levels/dataflow x 1/2/4/8 threads) is complete, and that the
 # temporal rows (eager + k1/k2/k4/k8 on LU-SGS and SOR Tr2) exist with
 # the stored batched best under 0.9x eager on the coarse LU-SGS case.
-cargo run $OFFLINE --release --example validate_bench_report
+run cargo run $OFFLINE --release --example validate_bench_report
 
 echo "==> obs report smoke (Trace pipeline run, schema-validates the JSON)"
 # The example fails if the emitted report does not validate against the
 # current report schema version, so this doubles as the schema gate.
-cargo run $OFFLINE --release --example obs_report
+run cargo run $OFFLINE --release --example obs_report
 
 echo "==> self-checking examples (quickstart, wavefronts, convergence)"
 # Each asserts behaviour of the driver and pool API it demonstrates:
@@ -107,7 +119,7 @@ echo "==> self-checking examples (quickstart, wavefronts, convergence)"
 # schedule, and a typed `run_until_converged` outcome on the generated
 # SOR solver.
 for example in quickstart wavefronts convergence; do
-    cargo run $OFFLINE --release --example "$example"
+    run cargo run $OFFLINE --release --example "$example"
 done
 
 echo "==> scheduler trace export (LU-SGS under both schedulers, validates the Perfetto JSON)"
@@ -118,6 +130,11 @@ echo "==> scheduler trace export (LU-SGS under both schedulers, validates the Pe
 # against the obs schema — the example panics on any violation, so this
 # is the trace-export schema gate. The Trace-ring ≤1.10x overhead gate
 # itself runs inside the engines bench above.
-cargo run $OFFLINE --release --example trace_export
+run cargo run $OFFLINE --release --example trace_export
 
+if ((${#FAILED[@]})); then
+    echo "CI FAILED: ${#FAILED[@]} step(s):"
+    printf '  %s\n' "${FAILED[@]}"
+    exit 1
+fi
 echo "CI OK"

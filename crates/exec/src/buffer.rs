@@ -635,22 +635,24 @@ fn nan_max(acc: f64, x: f64) -> f64 {
 /// for the Eq. (3) disjointness guarantee the non-atomic [`TileView`]
 /// path relies on.
 ///
-/// While a wavefront block executes (between [`LevelChecker::guard`]
+/// While a wavefront block executes (between [`SweepChecker::guard`]
 /// and the guard's drop), every buffer store on that thread is recorded
 /// into a thread-local, per-block set of flat-index intervals, grouped
-/// by allocation. When the block finishes, its write set is merged into
-/// the level's shared state; if it intersects the write set of any
-/// *other* block of the same level, the checker panics naming both
-/// blocks and the offending extents. A fresh [`LevelChecker`] per level
-/// implements the "reset at the barrier" semantics — blocks of
-/// *different* levels may freely write the same cells. The dataflow
-/// graph drain has no barrier and uses [`SweepChecker`] instead, which
-/// orders blocks by the dependence graph.
+/// by allocation. When the block finishes, its write set is compared
+/// with the write sets of every block that already finished in the same
+/// drain; if it intersects one the dependence graph leaves *unordered*
+/// with it, the checker panics naming both blocks and the offending
+/// extents. Ordered blocks may freely write the same cells. Both pool
+/// drains arm the one [`SweepChecker`]: blocks of one level are always
+/// unordered in the block graph (a path a → b forces θ(b) > θ(a)), so
+/// every same-level collision of the barrier drain is caught, and so is
+/// any unordered collision across levels, on which the dataflow drain
+/// would race.
 ///
 /// Recorded write sets pin an `Arc` clone of each touched allocation
-/// until the level ends, so a per-block temporary freed by one block
+/// until the drain ends, so a per-block temporary freed by one block
 /// cannot be re-allocated at the same address by a later block of the
-/// same level and produce a false positive.
+/// same drain and produce a false positive.
 ///
 /// The whole module compiles to no-ops in release builds (`ci.sh` runs
 /// the checker tests under the debug profile); `cargo test` exercises
@@ -675,77 +677,6 @@ pub mod overlap {
 
     thread_local! {
         static ACTIVE: RefCell<Option<BlockWrites>> = const { RefCell::new(None) };
-    }
-
-    /// Shared per-level state: the write sets of every finished block.
-    #[derive(Default)]
-    pub struct LevelChecker {
-        done: Mutex<Vec<BlockWrites>>,
-    }
-
-    impl LevelChecker {
-        /// A fresh checker (create one per wavefront level).
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Starts recording block `block` on the current thread; the
-        /// returned guard commits and checks the write set on drop.
-        pub fn guard(&self, block: usize) -> BlockGuard<'_> {
-            ACTIVE.with(|a| {
-                let mut a = a.borrow_mut();
-                debug_assert!(a.is_none(), "nested overlap-checker blocks");
-                *a = Some(BlockWrites {
-                    block,
-                    per_storage: Vec::new(),
-                });
-            });
-            BlockGuard { checker: self }
-        }
-
-        fn commit(&self, mut writes: BlockWrites) {
-            for (_, _, intervals) in &mut writes.per_storage {
-                normalize(intervals);
-            }
-            let mut done = self.done.lock().unwrap();
-            for prior in done.iter() {
-                for (id, _, intervals) in &writes.per_storage {
-                    for (pid, _, prior_intervals) in &prior.per_storage {
-                        if pid != id {
-                            continue;
-                        }
-                        if let Some((lo, hi)) = intersect(intervals, prior_intervals) {
-                            panic!(
-                                "wavefront overlap: blocks {} and {} of the same \
-                                 level both wrote flat extent [{lo}, {hi}] of one \
-                                 allocation — the schedule violates Eq. (3) \
-                                 disjointness",
-                                prior.block, writes.block
-                            );
-                        }
-                    }
-                }
-            }
-            done.push(writes);
-        }
-    }
-
-    /// RAII scope of one block's recording (see [`LevelChecker::guard`]).
-    pub struct BlockGuard<'a> {
-        checker: &'a LevelChecker,
-    }
-
-    impl Drop for BlockGuard<'_> {
-        fn drop(&mut self) {
-            let Some(writes) = ACTIVE.with(|a| a.borrow_mut().take()) else {
-                return;
-            };
-            // Don't double-panic while unwinding out of a failed block.
-            if std::thread::panicking() {
-                return;
-            }
-            self.checker.commit(writes);
-        }
     }
 
     /// Records a store of `len` elements at flat index `lo` (no-op
@@ -807,10 +738,9 @@ pub mod overlap {
         }
     }
 
-    /// Overlap checker for the dataflow graph drain.
+    /// The overlap checker of both pool drains.
     ///
-    /// A graph drain has no levels to reset at, so disjointness is
-    /// checked against the dependence graph instead. The checked
+    /// Disjointness is checked against the dependence graph. The checked
     /// universe is the `sweeps × num_blocks` grid of sweep-qualified
     /// block executions (an eager call is a batch of one sweep). Within
     /// one sweep the ordering relation is the block dependence graph;
@@ -1006,26 +936,6 @@ pub mod overlap {
     use std::sync::Arc;
 
     /// No-op stand-in for the debug checker.
-    #[derive(Default)]
-    pub struct LevelChecker;
-
-    /// No-op guard.
-    pub struct BlockGuard;
-
-    impl LevelChecker {
-        /// A fresh (no-op) checker.
-        pub fn new() -> Self {
-            Self
-        }
-
-        /// No-op block scope.
-        #[inline]
-        pub fn guard(&self, _block: usize) -> BlockGuard {
-            BlockGuard
-        }
-    }
-
-    /// No-op stand-in for the debug graph-drain checker.
     pub struct SweepChecker;
 
     /// No-op guard.

@@ -360,7 +360,8 @@ pub(crate) enum RKind {
     Int,
     Bool,
     Vec(u32),
-    Buf,
+    /// A buffer of the given rank.
+    Buf(u32),
     /// A schedule handle ([`RtVal::Schedule`]).
     Schedule,
 }
@@ -479,7 +480,15 @@ impl Regs {
                 }
                 self.v[off as usize..(off + lanes) as usize].copy_from_slice(&x);
             }
-            (RKind::Buf, Reg::B(d), RtVal::Buf(b)) => self.b[d as usize] = Some(b),
+            (RKind::Buf(rank), Reg::B(d), RtVal::Buf(b)) => {
+                if b.rank() != rank as usize {
+                    return Err(ExecError::new(format!(
+                        "buffer argument rank mismatch: expected {rank}, got {}",
+                        b.rank()
+                    )));
+                }
+                self.b[d as usize] = Some(b);
+            }
             (RKind::Schedule, Reg::A(d), RtVal::Schedule(a)) => self.a[d as usize] = Some(a),
             (_, _, other) => {
                 return Err(ExecError::new(format!(
@@ -498,7 +507,7 @@ impl Regs {
             (RKind::Vec(lanes), Reg::V { off, .. }) => {
                 RtVal::Vec(self.v[off as usize..(off + lanes) as usize].to_vec())
             }
-            (RKind::Buf, Reg::B(s)) => RtVal::Buf(
+            (RKind::Buf(_), Reg::B(s)) => RtVal::Buf(
                 self.b[s as usize]
                     .clone()
                     .ok_or_else(|| ExecError::new("unset buffer result"))?,

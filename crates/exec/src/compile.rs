@@ -121,7 +121,7 @@ fn rkind_of(ty: &Type) -> Result<RKind, BcCompileError> {
         Type::I64 | Type::Index => RKind::Int,
         Type::I1 => RKind::Bool,
         Type::Vector { len, .. } => RKind::Vec(*len as u32),
-        Type::MemRef { .. } => RKind::Buf,
+        Type::MemRef { shape, .. } => RKind::Buf(shape.len() as u32),
         Type::Tensor { elem, .. } if **elem == Type::I64 => RKind::Schedule,
         other => return Err(unsupported(format!("boundary type {other}"))),
     })

@@ -153,6 +153,17 @@ impl ExecCtx<'_> {
                 args.len()
             )));
         }
+        for (ty, arg) in func.arg_types.iter().zip(&args) {
+            if let (Type::MemRef { shape, .. }, RtVal::Buf(b)) = (ty, arg) {
+                if b.rank() != shape.len() {
+                    return Err(ExecError::new(format!(
+                        "`{name}` buffer argument rank mismatch: expected {}, got {}",
+                        shape.len(),
+                        b.rank()
+                    )));
+                }
+            }
+        }
         let body = &func.body;
         let mut env: Env = vec![None; body.num_values()];
         let entry = body.entry_block();

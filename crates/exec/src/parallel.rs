@@ -33,11 +33,16 @@
 //! [`WavefrontPool::try_execute`]: it runs `sweeps` back-to-back
 //! executions of one `scf.execute_wavefronts` over a
 //! [`ScheduleBundle`], sending an eager levels call to the barrier drain
-//! (over the bundle's level [`CsrWavefronts`]) and everything else to
-//! the graph drain — an eager dataflow call is a sweep batch of one.
-//! Each worker keeps private state (the engines run
+//! (over the bundle's level CSR) and everything else to the graph drain
+//! — an eager dataflow call is a sweep batch of one. Each drain has one
+//! worker body for every worker count: worker 0 runs on the calling
+//! thread, so a one-worker pool spawns nothing and runs the same code as
+//! a wide one. Each worker keeps private state (the engines run
 //! `scf.execute_wavefronts` bodies with a per-thread environment and
-//! statistics frame), and the first error propagates.
+//! statistics frame), and the first error propagates. In debug builds
+//! both drains check every buffer store against the write sets of
+//! blocks the dependence graph leaves unordered
+//! ([`overlap::SweepChecker`]).
 //!
 //! [`TaskGraph`]: instencil_pattern::dataflow::TaskGraph
 //! [`SweepGraph`]: instencil_pattern::dataflow::SweepGraph
@@ -52,7 +57,6 @@ use instencil_machine::topology::{xeon_6152_dual, Machine};
 use instencil_obs::trace::{self, TraceKind};
 use instencil_obs::{LevelRecord, Obs, WavefrontRecord, WorkerRecord};
 use instencil_pattern::dataflow::{shard_owner, BlockGraph, ScheduleBundle, Scheduler};
-use instencil_pattern::CsrWavefronts;
 
 use crate::buffer::overlap;
 
@@ -75,23 +79,103 @@ const SPIN_ROUNDS: u32 = 64;
 /// or the affinity routing would lengthen the critical path.
 const MAX_PARK_US: u64 = 64;
 
-/// Per-worker counters of one dataflow run, surfaced as a
-/// [`WorkerRecord`] at `Trace` detail.
-#[derive(Clone, Copy, Default)]
-struct WorkerStats {
-    busy_ns: u64,
-    blocks: u64,
-    steals: u64,
-    steal_dist: u64,
-    fused: u64,
-}
-
 /// The machine model every pool schedules against (the paper's
 /// evaluation platform): it picks the coarsening grain and the steal
 /// order.
 fn machine() -> &'static Machine {
     static MODEL: OnceLock<Machine> = OnceLock::new();
     MODEL.get_or_init(xeon_6152_dual)
+}
+
+/// The failures a drain's workers caught: the first panic payload, and
+/// the error with the lowest `(level, worker)` key (ties keep the first
+/// recorded, so a drain passing one key for every error keeps the first
+/// one observed).
+struct Faults<E> {
+    panic: Mutex<Option<PanicPayload>>,
+    error: Mutex<Option<((usize, usize), E)>>,
+}
+
+impl<E> Faults<E> {
+    fn new() -> Self {
+        Faults {
+            panic: Mutex::new(None),
+            error: Mutex::new(None),
+        }
+    }
+
+    /// Records the caught outcome of one unit of work under `key`;
+    /// returns whether it failed.
+    fn record(&self, key: (usize, usize), outcome: thread::Result<Result<(), E>>) -> bool {
+        if let Ok(Ok(())) = outcome {
+            return false;
+        }
+        self.fail(key, outcome);
+        true
+    }
+
+    /// The failure half of [`Self::record`] (a successful outcome
+    /// records nothing), kept out of the workers' hot loops.
+    #[cold]
+    #[inline(never)]
+    fn fail(&self, key: (usize, usize), outcome: thread::Result<Result<(), E>>) {
+        match outcome {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => {
+                let mut slot = self.error.lock().unwrap();
+                if slot.as_ref().is_none_or(|(k, _)| key < *k) {
+                    *slot = Some((key, e));
+                }
+            }
+            Err(payload) => {
+                self.panic.lock().unwrap().get_or_insert(payload);
+            }
+        }
+    }
+}
+
+/// The scaffolding both drains share. Runs `worker` as workers
+/// `0..threads` — worker 0 on the calling thread, the rest on scoped
+/// threads, so a one-worker pool spawns nothing — and joins them,
+/// re-raising any panic that escaped a worker. Then every worker's
+/// state goes to `merge` (the partial state of a failed worker too, so
+/// additive counters such as [`crate::ExecStats`] stay consistent), the
+/// first caught panic is re-raised, the workers' reports go to
+/// `publish`, and the first error is returned.
+fn run_workers<S, R, E>(
+    threads: usize,
+    worker: impl Fn(usize) -> (S, R) + Sync,
+    faults: &Faults<E>,
+    mut merge: impl FnMut(S),
+    publish: impl FnOnce(Vec<R>),
+) -> Result<(), E>
+where
+    S: Send,
+    R: Send,
+{
+    let worker = &worker;
+    let mut results = Vec::with_capacity(threads);
+    thread::scope(|s| {
+        let handles: Vec<_> = (1..threads).map(|w| s.spawn(move || worker(w))).collect();
+        results.push(worker(0));
+        for h in handles {
+            // Workers catch their own panics; a join error here means
+            // something escaped the protocol — re-raise it directly.
+            results.push(h.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+    });
+    let mut reports = Vec::with_capacity(threads);
+    for (state, report) in results {
+        merge(state);
+        reports.push(report);
+    }
+    let panic = faults.panic.lock().unwrap().take();
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
+    publish(reports);
+    let error = faults.error.lock().unwrap().take();
+    error.map_or(Ok(()), |(_, e)| Err(e))
 }
 
 /// A scoped thread pool executing wavefront schedules.
@@ -125,98 +209,52 @@ impl WavefrontPool {
         &self.obs
     }
 
-    /// The barrier drain of [`try_execute`](Self::try_execute): runs a
-    /// fallible `work` closure over every scheduled sub-domain with
-    /// per-worker state, level by level.
+    /// The barrier drain of [`try_execute`](Self::try_execute): runs
+    /// `work(state, 0, block)` over every block of `bundle`'s level
+    /// schedule, level by level.
     ///
-    /// Each worker thread gets its own state from `init` once for the
-    /// whole run (the pool is persistent — workers are spawned once, and
-    /// a [`Barrier`] separates consecutive levels, which is what
-    /// publishes one level's buffer stores to the next; see
-    /// [`crate::buffer`]). Within a level the sub-domain indices are
-    /// split into contiguous chunks, one per worker. When the run
-    /// finishes (or fails), every worker's state is handed to `merge` on
-    /// the calling thread.
+    /// Each worker gets its own state from `init` once for the whole
+    /// run (the pool is persistent — workers are spawned once, and a
+    /// [`Barrier`] separates consecutive levels, which is what publishes
+    /// one level's buffer stores to the next; see [`crate::buffer`]).
+    /// Worker `w` runs the blocks of its contiguous flat-index shard
+    /// ([`shard_owner`]) in every level.
     ///
-    /// State is always merged — including the partial state of a worker
-    /// that failed — so additive counters (e.g. [`crate::ExecStats`])
-    /// stay consistent. Workers already running when another worker of
-    /// the same level fails are not cancelled; no further level starts
-    /// after a failure.
-    ///
-    /// # Errors
-    /// Returns the first error produced by `work` (earliest failing
-    /// level, lowest worker index within it).
-    ///
-    /// # Panics
-    /// Propagates panics from worker closures (the original payload is
-    /// re-raised once every worker has parked).
-    fn try_execute_stateful<S, E, I, W, M>(
+    /// The reported error is the earliest failing level's (lowest
+    /// worker index within it). Workers already running when another
+    /// worker of the same level fails are not cancelled; no further
+    /// level starts after a failure.
+    fn drain_levels<S, E, I, W, M>(
         &self,
-        schedule: &CsrWavefronts,
+        bundle: &ScheduleBundle,
         init: I,
         work: W,
-        mut merge: M,
+        merge: M,
     ) -> Result<(), E>
     where
         S: Send,
         E: Send,
         I: Fn() -> S + Sync,
-        W: Fn(&mut S, usize) -> Result<(), E> + Sync,
+        W: Fn(&mut S, usize, usize) -> Result<(), E> + Sync,
         M: FnMut(S),
     {
-        let record = self.obs.enabled();
-        let detail = self.obs.detail_enabled();
-        let mut level_records: Vec<LevelRecord> = Vec::new();
-        if self.threads == 1 {
-            let _tg = trace::install(self.obs.worker_tracer(0));
-            let mut state = init();
-            let mut outcome = Ok(());
-            'levels: for (index, level) in schedule.levels().enumerate() {
-                let checker = overlap::LevelChecker::new();
-                let t0 = record.then(Instant::now);
-                let ts = trace::begin();
-                let mut done = 0u64;
-                for &b in level {
-                    let _wg = checker.guard(b);
-                    if let Err(e) = work(&mut state, b) {
-                        outcome = Err(e);
-                        done += 1; // the failing block still ran
-                        trace::end(TraceKind::Task, ts, index as u32, done as u32);
-                        self.push_level(&mut level_records, index, level.len(), t0, detail, vec![done]);
-                        break 'levels;
-                    }
-                    done += 1;
-                }
-                if outcome.is_ok() {
-                    if done > 0 {
-                        trace::end(TraceKind::Task, ts, index as u32, done as u32);
-                    }
-                    self.push_level(&mut level_records, index, level.len(), t0, detail, vec![done]);
-                }
-            }
-            merge(state);
-            self.flush_levels(1, level_records);
-            return outcome;
-        }
+        let schedule = &bundle.csr;
         if schedule.num_blocks() == 0 {
             // Nothing to run: spawn no workers, merge no states.
-            self.flush_levels(self.threads, level_records);
+            self.publish(self.threads, Scheduler::Levels, 1, Vec::new());
             return Ok(());
         }
-
+        let record = self.obs.enabled();
+        let detail = self.obs.detail_enabled();
         // Workers beyond the widest level would only ever wait at
         // barriers — clamp to the schedule's actual width.
         let max_width = schedule.levels().map(|l| l.len()).max().unwrap_or(1);
-        let threads = self.threads.min(max_width.max(1));
+        let threads = self.threads.min(max_width);
         let n_total = schedule.num_blocks();
-        let init = &init;
-        let work = &work;
-        // One checker per level, shared by all workers of that level
-        // (a ZST vector in release builds).
-        let checkers: Vec<overlap::LevelChecker> = (0..schedule.num_levels())
-            .map(|_| overlap::LevelChecker::new())
-            .collect();
+        // A path a → b in the block graph forces θ(b) > θ(a), so blocks
+        // of one level are unordered there: the one-sweep graph checker
+        // catches every same-level collision.
+        let checker = overlap::SweepChecker::new(&bundle.graph, 1);
         let barrier = Barrier::new(threads);
         // Index of the earliest level where a worker failed or panicked.
         // This must be a level, not a boolean: a fast worker can race
@@ -226,8 +264,7 @@ impl WavefrontPool {
         // Any value <= L is published before level L's end barrier, so
         // the `stop_level <= L` decision is uniform across workers.
         let stop_level = AtomicUsize::new(usize::MAX);
-        let panic_slot: Mutex<Option<PanicPayload>> = Mutex::new(None);
-        let first_err: Mutex<Option<(usize, usize, E)>> = Mutex::new(None);
+        let faults = Faults::new();
         // Per-level wall times, written by worker 0 only.
         let walls: Mutex<Vec<(usize, u64)>> = Mutex::new(Vec::new());
 
@@ -235,27 +272,21 @@ impl WavefrontPool {
         // with its peers, executing its static chunk of each level.
         // Returns the worker state plus per-level (index, busy_ns,
         // blocks) samples for the obs records.
-        let worker_loop = |w: usize| -> (S, Vec<(usize, u64, u64)>) {
+        let worker = |w: usize| -> (S, LevelSamples) {
             let _tg = trace::install(self.obs.worker_tracer(w as u32));
             let mut state = init();
-            let mut samples: Vec<(usize, u64, u64)> = Vec::new();
+            let mut samples = LevelSamples::new();
             for (index, level) in schedule.levels().enumerate() {
                 if level.is_empty() {
                     continue;
                 }
-                let t0 = if record && w == 0 {
-                    let t0 = Some(Instant::now());
+                let t0 = (record && w == 0).then(Instant::now);
+                if record {
                     // Start alignment: no peer enters the level before
                     // worker 0 has read the clock, so the recorded wall
                     // covers every worker's chunk.
                     barrier.wait();
-                    t0
-                } else {
-                    if record {
-                        barrier.wait();
-                    }
-                    None
-                };
+                }
                 let w0 = detail.then(Instant::now);
                 let ts = trace::begin();
                 let mut done = 0u64;
@@ -274,27 +305,13 @@ impl WavefrontPool {
                             continue;
                         }
                         done += 1;
-                        let _wg = checkers[index].guard(b);
-                        work(&mut state, b)?;
+                        let _wg = checker.guard(0, b);
+                        work(&mut state, 0, b)?;
                     }
                     Ok(())
                 }));
-                match outcome {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        let mut slot = first_err.lock().unwrap();
-                        if slot.as_ref().is_none_or(|&(pl, pw, _)| (index, w) < (pl, pw)) {
-                            *slot = Some((index, w, e));
-                        }
-                        stop_level.fetch_min(index, Ordering::AcqRel);
-                    }
-                    Err(payload) => {
-                        let mut slot = panic_slot.lock().unwrap();
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                        stop_level.fetch_min(index, Ordering::AcqRel);
-                    }
+                if faults.record((index, w), outcome) {
+                    stop_level.fetch_min(index, Ordering::AcqRel);
                 }
                 if done > 0 {
                     trace::end(TraceKind::Task, ts, index as u32, done as u32);
@@ -316,57 +333,30 @@ impl WavefrontPool {
             (state, samples)
         };
 
-        let mut results: Vec<(S, LevelSamples)> = Vec::with_capacity(threads);
-        thread::scope(|s| {
-            let handles: Vec<_> = (1..threads)
-                .map(|w| s.spawn(move || worker_loop(w)))
-                .collect();
-            results.push(worker_loop(0));
-            for h in handles {
-                // Workers catch their own panics; a join error here means
-                // something escaped the protocol — re-raise it directly.
-                results.push(h.join().unwrap_or_else(|p| resume_unwind(p)));
-            }
-        });
-
-        if record {
-            let walls = walls.into_inner().unwrap();
-            for &(index, wall_ns) in &walls {
-                let mut workers = Vec::new();
-                if detail {
-                    for (_, samples) in &results {
-                        if let Some(&(_, busy_ns, blocks)) =
-                            samples.iter().find(|&&(i, _, _)| i == index)
-                        {
-                            if blocks > 0 {
-                                workers.push(WorkerRecord {
-                                    busy_ns,
-                                    blocks,
-                                    ..WorkerRecord::default()
-                                });
-                            }
-                        }
-                    }
-                }
-                level_records.push(LevelRecord {
+        run_workers(threads, worker, &faults, merge, |samples| {
+            // Per-worker samples exist only at `Trace`.
+            let levels = walls
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|&(index, wall_ns)| LevelRecord {
                     index,
                     blocks: schedule.level(index).len() as u64,
                     wall_ns,
-                    workers,
-                });
-            }
-        }
-        for (state, _) in results {
-            merge(state);
-        }
-        if let Some(payload) = panic_slot.into_inner().unwrap() {
-            resume_unwind(payload);
-        }
-        self.flush_levels(threads, level_records);
-        match first_err.into_inner().unwrap() {
-            Some((_, _, e)) => Err(e),
-            None => Ok(()),
-        }
+                    workers: samples
+                        .iter()
+                        .filter_map(|s| s.iter().find(|&&(i, _, _)| i == index))
+                        .filter(|&&(_, _, blocks)| blocks > 0)
+                        .map(|&(_, busy_ns, blocks)| WorkerRecord {
+                            busy_ns,
+                            blocks,
+                            ..WorkerRecord::default()
+                        })
+                        .collect(),
+                })
+                .collect();
+            self.publish(threads, Scheduler::Levels, 1, levels);
+        })
     }
 
     /// The coarsening grain for `graph` under the machine model and this
@@ -397,30 +387,34 @@ impl WavefrontPool {
     /// running the sweeps back-to-back under levels (see `DESIGN.md`
     /// §4g/§4j).
     ///
-    /// At one thread the drain keeps the first task each retirement
-    /// readies *in hand* and decrements cross-sweep successors before
-    /// intra-sweep ones, so execution descends the temporal diagonal
-    /// `(t, s) → (t', s+1)` while the stripe is cache-resident.
-    /// Multi-thread, worker `w` owns a deque of ready nodes, sharded by
-    /// *task index* ([`shard_owner`]) so every sweep of a stripe stays on
-    /// one core. Finishing a node decrements each successor's in-degree
-    /// (`fetch_sub(1, AcqRel)`); the worker that takes an in-degree to
-    /// zero keeps the first readied node in hand (work-first) and routes
-    /// the surplus to the owners' deques. An idle worker drains its own
-    /// deque from the back (LIFO), then steals from the front of its
-    /// peers' deques in the machine's NUMA-near-first order, then backs
-    /// off — [`SPIN_ROUNDS`] yields, then exponential sleep capped at
-    /// [`MAX_PARK_US`]. The atomic read-modify-write chain on the
-    /// in-degree carries the happens-before edge from every
-    /// predecessor's buffer writes to the successor, replacing the level
-    /// barrier. In debug builds every buffer store is checked against
-    /// the write intervals of unordered nodes ([`overlap::SweepChecker`]).
+    /// Worker `w` owns a deque of ready nodes, sharded by *task index*
+    /// ([`shard_owner`]) so every sweep of a stripe stays on one core;
+    /// the roots are seeded so that each deque pops them in ascending
+    /// task order. Finishing a node decrements each successor's
+    /// in-degree (`fetch_sub(1, AcqRel)`), cross-sweep successors before
+    /// intra-sweep ones; the worker that takes an in-degree to zero
+    /// keeps the first readied node in hand (work-first) and routes the
+    /// surplus to the owners' deques, so a lone worker descends the
+    /// temporal diagonal `(t, s) → (t', s+1)` while the stripe is
+    /// cache-resident. An idle worker drains its own deque from the back
+    /// (LIFO), then steals from the front of its peers' deques in the
+    /// machine's NUMA-near-first order, then backs off — [`SPIN_ROUNDS`]
+    /// yields, then exponential sleep capped at [`MAX_PARK_US`]. The
+    /// atomic read-modify-write chain on the in-degree carries the
+    /// happens-before edge from every predecessor's buffer writes to the
+    /// successor, replacing the level barrier.
+    ///
+    /// In debug builds both drains check every buffer store against the
+    /// write intervals of nodes the dependence graph leaves unordered
+    /// ([`overlap::SweepChecker`]); same-level blocks are always
+    /// unordered, so the barrier drain's collisions are caught too.
     ///
     /// Each worker gets its own state from `init` once for the whole
     /// run; when the run finishes (or fails), every worker's state —
     /// including the partial state of a failed worker — is handed to
     /// `merge` on the calling thread, so additive counters such as
-    /// [`crate::ExecStats`] stay consistent. The barrier drain reports
+    /// [`crate::ExecStats`] stay consistent. An empty schedule spawns
+    /// no worker and merges no state. The barrier drain reports
     /// the earliest failing level's error and starts no level after a
     /// failure; under concurrency the graph drain's "first error" is the
     /// first one *observed*, which is deterministic only at one thread.
@@ -430,7 +424,8 @@ impl WavefrontPool {
     /// blocks are abandoned.
     ///
     /// # Panics
-    /// Propagates panics from worker closures (original payload).
+    /// Propagates panics from worker closures (the original payload is
+    /// re-raised once every worker has stopped).
     pub fn try_execute<S, E, I, W, M>(
         &self,
         bundle: &ScheduleBundle,
@@ -447,7 +442,7 @@ impl WavefrontPool {
         M: FnMut(S),
     {
         if sweeps == 1 && self.scheduler == Scheduler::Levels {
-            return self.try_execute_stateful(&bundle.csr, init, |s, b| work(s, 0, b), merge);
+            return self.drain_levels(bundle, init, work, merge);
         }
         self.drain_graph(bundle, sweeps, init, work, merge)
     }
@@ -459,7 +454,7 @@ impl WavefrontPool {
         sweeps: usize,
         init: I,
         work: W,
-        mut merge: M,
+        merge: M,
     ) -> Result<(), E>
     where
         S: Send,
@@ -474,100 +469,16 @@ impl WavefrontPool {
             return Ok(());
         }
         let sgraph = bundle.sweep_graph(self.grain_for(graph), sweeps);
-        let tasks = sgraph.tasks();
         let n_tasks = sgraph.num_tasks();
         let total = sgraph.num_nodes();
-        let record = self.obs.enabled();
         let detail = self.obs.detail_enabled();
         let checker = overlap::SweepChecker::new(graph, sweeps);
         // Trace sweep tag: 0 for an eager call, `s + 1` for sweep `s` of
         // a batch.
         let tag = |sweep: usize| if sweeps == 1 { 0 } else { sweep as u32 + 1 };
 
-        if self.threads == 1 {
-            // Readies one successor node: the first task a retirement
-            // unlocks is kept in hand (work-first), surplus goes to the
-            // LIFO stack. Plain counters — no other thread exists.
-            fn offer(indeg: &mut [u32], in_hand: &mut Option<u32>, stack: &mut Vec<u32>, nd: u32) {
-                let d = &mut indeg[nd as usize];
-                *d -= 1;
-                if *d == 0 {
-                    if in_hand.is_none() {
-                        *in_hand = Some(nd);
-                    } else {
-                        stack.push(nd);
-                    }
-                }
-            }
-            let _tg = trace::install(self.obs.worker_tracer(0));
-            let t0 = record.then(Instant::now);
-            let mut state = init();
-            let mut outcome = Ok(());
-            let mut done = 0u64;
-            let mut indeg: Vec<u32> = Vec::with_capacity(total);
-            for s in 0..sweeps {
-                for t in 0..n_tasks {
-                    indeg.push(sgraph.in_degree(s, t));
-                }
-            }
-            // Roots live only in sweep 0; reversed so the stack pops
-            // them in ascending task order.
-            let mut stack: Vec<u32> = sgraph.roots();
-            stack.reverse();
-            let mut in_hand: Option<u32> = None;
-            'drain: while let Some(node) = in_hand.take().or_else(|| stack.pop()) {
-                let (sweep, task) = sgraph.split(node as usize);
-                let ts = trace::begin();
-                let mut ran = 0u32;
-                for b in tasks.blocks_of(task) {
-                    let _wg = checker.guard(sweep, b);
-                    if let Err(e) = work(&mut state, sweep, b) {
-                        trace::end_sweep(TraceKind::Task, ts, task as u32, ran, tag(sweep));
-                        outcome = Err(e);
-                        break 'drain;
-                    }
-                    ran += 1;
-                }
-                done += u64::from(ran);
-                trace::end_sweep(TraceKind::Task, ts, task as u32, ran, tag(sweep));
-                // Cross-sweep successors first: with the in-hand
-                // preference this descends the temporal diagonal —
-                // (t, s) hands off to (t', s+1) with t' ≤ t while the
-                // stripe is still hot — instead of finishing sweep `s`
-                // wall-to-wall before touching sweep `s+1`.
-                if sweep + 1 < sweeps {
-                    for &x in sgraph.cross_successors(task) {
-                        let nd = sgraph.node(sweep + 1, x as usize) as u32;
-                        offer(&mut indeg, &mut in_hand, &mut stack, nd);
-                    }
-                }
-                for &x in sgraph.intra_successors(task) {
-                    let nd = sgraph.node(sweep, x as usize) as u32;
-                    offer(&mut indeg, &mut in_hand, &mut stack, nd);
-                }
-            }
-            debug_assert!(outcome.is_err() || done == (n * sweeps) as u64);
-            merge(state);
-            if let Some(t0) = t0 {
-                self.flush_dataflow(
-                    1,
-                    n,
-                    sweeps,
-                    t0.elapsed().as_nanos() as u64,
-                    detail.then(|| {
-                        vec![WorkerStats {
-                            busy_ns: t0.elapsed().as_nanos() as u64,
-                            blocks: done,
-                            ..WorkerStats::default()
-                        }]
-                    }),
-                );
-            }
-            return outcome;
-        }
-
-        // Multi-thread: sharding is by *task* so every sweep of a stripe
-        // lands on the worker whose cache already holds it.
+        // Sharding is by *task* so every sweep of a stripe lands on the
+        // worker whose cache already holds it.
         let threads = self.threads.min(n_tasks);
         let indeg: Vec<AtomicU32> = (0..total)
             .map(|node| {
@@ -579,7 +490,9 @@ impl WavefrontPool {
         let deques: Vec<Mutex<std::collections::VecDeque<u32>>> = (0..threads)
             .map(|_| Mutex::new(std::collections::VecDeque::new()))
             .collect();
-        for r in sgraph.roots() {
+        // Roots live only in sweep 0; seeded in reverse so each owner's
+        // LIFO end pops them in ascending task order.
+        for r in sgraph.roots().into_iter().rev() {
             deques[shard_owner(r as usize % n_tasks, n_tasks, threads)]
                 .lock()
                 .unwrap()
@@ -589,20 +502,13 @@ impl WavefrontPool {
             .map(|w| machine().steal_order(w, threads))
             .collect();
         let abort = AtomicBool::new(false);
-        let panic_slot: Mutex<Option<PanicPayload>> = Mutex::new(None);
-        let first_err: Mutex<Option<E>> = Mutex::new(None);
-        let init = &init;
-        let work = &work;
-        let checker = &checker;
-        let sgraph = &sgraph;
-        let steal_orders = &steal_orders;
-        let tag = &tag;
+        let faults = Faults::new();
 
-        let worker_loop = |w: usize| -> (S, WorkerStats) {
+        let worker = |w: usize| -> (S, WorkerRecord) {
             let _tg = trace::install(self.obs.worker_tracer(w as u32));
             let mut state = init();
             let mut my_next: Option<u32> = None;
-            let mut st = WorkerStats::default();
+            let mut st = WorkerRecord::default();
             let mut idle_rounds = 0u32;
             loop {
                 if abort.load(Ordering::Acquire) {
@@ -653,165 +559,79 @@ impl WavefrontPool {
                     Ok(())
                 }));
                 trace::end_sweep(TraceKind::Task, ts, task as u32, ran as u32, tag(sweep));
-                match outcome {
-                    Ok(Ok(())) => {
-                        if let Some(t0) = t0 {
-                            st.busy_ns += t0.elapsed().as_nanos() as u64;
+                st.blocks += ran;
+                if faults.record((0, 0), outcome) {
+                    abort.store(true, Ordering::Release);
+                    break;
+                }
+                if let Some(t0) = t0 {
+                    st.busy_ns += t0.elapsed().as_nanos() as u64;
+                }
+                st.fused += chain - 1;
+                // Cross-sweep successors first: with the in-hand
+                // preference this descends the temporal diagonal — (t, s)
+                // hands off to (t', s+1) with t' ≤ t while the stripe is
+                // still hot — and the self edge (t, s) → (t, s+1) stays
+                // on this worker by construction of the task-keyed shard
+                // map.
+                let mut offer = |x: u32, nd: u32| {
+                    if indeg[nd as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
+                        if my_next.is_none() {
+                            my_next = Some(nd);
+                        } else {
+                            let owner = shard_owner(x as usize, n_tasks, threads);
+                            deques[owner].lock().unwrap().push_back(nd);
                         }
-                        st.blocks += ran;
-                        st.fused += chain - 1;
-                        // Cross-sweep successors first, mirroring the
-                        // sequential drain: the in-hand preference
-                        // favors the temporal diagonal, and the self
-                        // edge (t, s) → (t, s+1) stays on this worker
-                        // by construction of the task-keyed shard map.
-                        let mut offer = |x: u32, nd: u32| {
-                            if indeg[nd as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                if my_next.is_none() {
-                                    my_next = Some(nd);
-                                } else {
-                                    let owner = shard_owner(x as usize, n_tasks, threads);
-                                    deques[owner].lock().unwrap().push_back(nd);
-                                }
-                            }
-                        };
-                        if sweep + 1 < sweeps {
-                            for &x in sgraph.cross_successors(task) {
-                                offer(x, sgraph.node(sweep + 1, x as usize) as u32);
-                            }
-                        }
-                        for &x in sgraph.intra_successors(task) {
-                            offer(x, sgraph.node(sweep, x as usize) as u32);
-                        }
-                        remaining.fetch_sub(1, Ordering::Release);
                     }
-                    Ok(Err(e)) => {
-                        st.blocks += ran;
-                        let mut slot = first_err.lock().unwrap();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        abort.store(true, Ordering::Release);
-                    }
-                    Err(payload) => {
-                        st.blocks += ran;
-                        let mut slot = panic_slot.lock().unwrap();
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                        abort.store(true, Ordering::Release);
+                };
+                if sweep + 1 < sweeps {
+                    for &x in sgraph.cross_successors(task) {
+                        offer(x, sgraph.node(sweep + 1, x as usize) as u32);
                     }
                 }
+                for &x in sgraph.intra_successors(task) {
+                    offer(x, sgraph.node(sweep, x as usize) as u32);
+                }
+                remaining.fetch_sub(1, Ordering::Release);
             }
             (state, st)
         };
 
-        let t0 = record.then(Instant::now);
-        let mut results: Vec<(S, WorkerStats)> = Vec::with_capacity(threads);
-        thread::scope(|s| {
-            let handles: Vec<_> = (1..threads)
-                .map(|w| s.spawn(move || worker_loop(w)))
-                .collect();
-            results.push(worker_loop(0));
-            for h in handles {
-                results.push(h.join().unwrap_or_else(|p| resume_unwind(p)));
-            }
-        });
-        let wall_ns = t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let workers = detail.then(|| results.iter().map(|&(_, st)| st).collect::<Vec<_>>());
-        for (state, ..) in results {
-            merge(state);
-        }
-        if let Some(payload) = panic_slot.into_inner().unwrap() {
-            resume_unwind(payload);
-        }
-        if record {
-            self.flush_dataflow(threads, n, sweeps, wall_ns, workers);
-        }
-        match first_err.into_inner().unwrap() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let t0 = self.obs.enabled().then(Instant::now);
+        run_workers(threads, worker, &faults, merge, |workers| {
+            debug_assert!(
+                abort.load(Ordering::Acquire)
+                    || workers.iter().map(|st| st.blocks).sum::<u64>() == (n * sweeps) as u64
+            );
+            let Some(t0) = t0 else { return };
+            // One all-blocks level: there are no barriers to split the
+            // timeline on. `blocks` is per sweep, so report means stay
+            // per-sweep across batch depths.
+            let level = LevelRecord {
+                index: 0,
+                blocks: n as u64,
+                wall_ns: t0.elapsed().as_nanos() as u64,
+                workers: if detail { workers } else { Vec::new() },
+            };
+            self.publish(threads, Scheduler::Dataflow, sweeps, vec![level]);
+        })
     }
 
-    /// Publishes a dataflow run as a single all-blocks level record
-    /// (there are no barriers to split the timeline on). `blocks` is the
-    /// per-sweep block count and `sweeps` the batch depth (1 for eager
-    /// runs), so report means stay per-sweep across batch depths.
-    fn flush_dataflow(
+    /// Publishes one drain as a [`WavefrontRecord`] (no-op when nothing
+    /// is recorded). `threads` is the *effective* worker count after the
+    /// drain's width clamp.
+    fn publish(
         &self,
         threads: usize,
-        blocks: usize,
+        scheduler: Scheduler,
         sweeps: usize,
-        wall_ns: u64,
-        workers: Option<Vec<WorkerStats>>,
+        levels: Vec<LevelRecord>,
     ) {
-        let workers = workers
-            .unwrap_or_default()
-            .into_iter()
-            .map(|st| WorkerRecord {
-                busy_ns: st.busy_ns,
-                blocks: st.blocks,
-                steals: st.steals,
-                steal_dist: st.steal_dist,
-                fused: st.fused,
-            })
-            .collect();
-        self.obs.record_wavefronts(WavefrontRecord {
-            threads,
-            scheduler: Scheduler::Dataflow.name().to_owned(),
-            sweeps,
-            levels: vec![LevelRecord {
-                index: 0,
-                blocks: blocks as u64,
-                wall_ns,
-                workers,
-            }],
-        });
-    }
-
-    /// Closes one single-thread level record (`blocks_done` holds the
-    /// lone worker's executed-block count).
-    fn push_level(
-        &self,
-        records: &mut Vec<LevelRecord>,
-        index: usize,
-        width: usize,
-        t0: Option<Instant>,
-        detail: bool,
-        blocks_done: Vec<u64>,
-    ) {
-        let Some(t0) = t0 else { return };
-        let wall_ns = t0.elapsed().as_nanos() as u64;
-        let workers = if detail {
-            blocks_done
-                .into_iter()
-                .map(|blocks| WorkerRecord {
-                    busy_ns: wall_ns,
-                    blocks,
-                    ..WorkerRecord::default()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        records.push(LevelRecord {
-            index,
-            blocks: width as u64,
-            wall_ns,
-            workers,
-        });
-    }
-
-    /// Publishes the accumulated per-level records as one
-    /// [`WavefrontRecord`] (no-op when nothing was recorded).
-    /// `threads` is the *effective* worker count after the width clamp.
-    fn flush_levels(&self, threads: usize, levels: Vec<LevelRecord>) {
         if self.obs.enabled() {
             self.obs.record_wavefronts(WavefrontRecord {
                 threads,
-                scheduler: Scheduler::Levels.name().to_owned(),
-                sweeps: 1,
+                scheduler: scheduler.name().to_owned(),
+                sweeps,
                 levels,
             });
         }
@@ -822,21 +642,22 @@ impl WavefrontPool {
 mod tests {
     use super::*;
     use instencil_pattern::dataflow::schedule_bundle;
-    use instencil_pattern::schedule::WavefrontSchedule;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    /// A pool under the levels scheduler: the barrier drain.
+    /// A pool under the levels scheduler, so eager
+    /// [`WavefrontPool::try_execute`] calls take the barrier drain.
     fn levels_pool(threads: usize) -> WavefrontPool {
         WavefrontPool::with_opts(threads, Obs::off(), Scheduler::Levels)
     }
 
     /// Runs the infallible, stateless `work` through the barrier drain.
-    fn execute(pool: &WavefrontPool, csr: &CsrWavefronts, work: impl Fn(usize) + Sync) {
-        pool.try_execute_stateful(
-            csr,
+    fn execute(pool: &WavefrontPool, bundle: &ScheduleBundle, work: impl Fn(usize) + Sync) {
+        pool.try_execute(
+            bundle,
+            1,
             || (),
-            |(), b| {
+            |(), _, b| {
                 work(b);
                 Ok::<(), ()>(())
             },
@@ -847,11 +668,10 @@ mod tests {
 
     #[test]
     fn executes_every_block_once() {
-        let s = WavefrontSchedule::compute(&[4, 4], &[vec![-1, 0], vec![0, -1]]);
-        let csr = s.into_wavefronts();
+        let bundle = schedule_bundle(&[4, 4], &[vec![-1, 0], vec![0, -1]]);
         let count = AtomicUsize::new(0);
         let seen = Mutex::new(vec![false; 16]);
-        execute(&levels_pool(4), &csr, |b| {
+        execute(&levels_pool(4), &bundle, |b| {
             count.fetch_add(1, Ordering::SeqCst);
             let mut seen = seen.lock().unwrap();
             assert!(!seen[b], "block {b} executed twice");
@@ -866,11 +686,10 @@ mod tests {
         // Record a per-block completion stamp; every dependence must
         // complete before its dependent starts.
         let deps = vec![vec![-1, 0], vec![0, -1]];
-        let sched = WavefrontSchedule::compute(&[5, 5], &deps);
-        let csr = sched.wavefronts().clone();
+        let bundle = schedule_bundle(&[5, 5], &deps);
         let clock = AtomicUsize::new(0);
         let stamps: Vec<AtomicUsize> = (0..25).map(|_| AtomicUsize::new(0)).collect();
-        execute(&levels_pool(3), &csr, |b| {
+        execute(&levels_pool(3), &bundle, |b| {
             let t = clock.fetch_add(1, Ordering::SeqCst);
             stamps[b].store(t + 1, Ordering::SeqCst);
         });
@@ -894,24 +713,29 @@ mod tests {
 
     #[test]
     fn single_thread_path() {
-        let csr = CsrWavefronts::from_rows(vec![vec![0, 1], vec![2]]);
+        // Rows of a 3×2 grid depending on the row above: levels
+        // [0, 1], [2, 3], [4, 5], run level by level in ascending order.
+        let bundle = schedule_bundle(&[3, 2], &[vec![-1, 0]]);
+        let rows: Vec<&[usize]> = bundle.csr.levels().collect();
+        assert_eq!(rows, [[0, 1], [2, 3], [4, 5]]);
         let order = Mutex::new(Vec::new());
-        execute(&levels_pool(1), &csr, |b| order.lock().unwrap().push(b));
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
+        execute(&levels_pool(1), &bundle, |b| order.lock().unwrap().push(b));
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn stateful_merges_every_worker() {
-        // 3 levels, 7 blocks, more workers than blocks in some levels.
-        let csr = CsrWavefronts::from_rows(vec![vec![0], vec![1, 2, 3], vec![4, 5, 6]]);
+        // 5 levels, 9 blocks, more workers than blocks in some levels.
+        let bundle = schedule_bundle(&[3, 3], &[vec![-1, 0], vec![0, -1]]);
         for threads in [1usize, 2, 4, 8] {
             let mut total = 0usize;
             let mut merges = 0usize;
             levels_pool(threads)
-                .try_execute_stateful(
-                    &csr,
+                .try_execute(
+                    &bundle,
+                    1,
                     || 0usize,
-                    |count, b| {
+                    |count, _, b| {
                         *count += b + 1;
                         Ok::<(), ()>(())
                     },
@@ -921,22 +745,24 @@ mod tests {
                     },
                 )
                 .unwrap();
-            // Sum of (b+1) over b in 0..7 regardless of thread count.
-            assert_eq!(total, 28, "threads={threads}");
+            // Sum of (b+1) over b in 0..9 regardless of thread count.
+            assert_eq!(total, 45, "threads={threads}");
             assert!(merges >= 1);
         }
     }
 
     #[test]
     fn stateful_propagates_first_error_and_partial_state() {
-        let csr = CsrWavefronts::from_rows(vec![vec![0, 1], vec![2, 3]]);
+        // Levels [0, 1], [2, 3].
+        let bundle = schedule_bundle(&[2, 2], &[vec![-1, 0]]);
         for threads in [1usize, 3] {
             let mut total = 0usize;
             let err = levels_pool(threads)
-                .try_execute_stateful(
-                    &csr,
+                .try_execute(
+                    &bundle,
+                    1,
                     || 0usize,
-                    |count, b| {
+                    |count, _, b| {
                         if b >= 2 {
                             return Err(format!("block {b} failed"));
                         }
@@ -954,39 +780,76 @@ mod tests {
 
     #[test]
     fn stateful_empty_schedule() {
-        let csr = CsrWavefronts::from_rows(vec![vec![], vec![]]);
-        let mut merges = 0usize;
-        levels_pool(4)
-            .try_execute_stateful(&csr, || (), |(), _| Ok::<(), ()>(()), |()| merges += 1)
-            .unwrap();
-        // No level spawns workers, so nothing to merge (multi-thread path).
-        assert_eq!(merges, 0);
+        // A zero extent is the empty schedule.
+        let bundle = schedule_bundle(&[0, 4], &[vec![-1, 0]]);
+        for threads in [1usize, 4] {
+            let mut merges = 0usize;
+            levels_pool(threads)
+                .try_execute(
+                    &bundle,
+                    1,
+                    || (),
+                    |(), _, _| Ok::<(), ()>(()),
+                    |()| merges += 1,
+                )
+                .unwrap();
+            // Nothing runs, so no worker is spawned and nothing merged.
+            assert_eq!(merges, 0, "threads={threads}");
+        }
     }
 
     #[test]
     fn stateful_propagates_worker_panics_with_payload() {
-        let csr = CsrWavefronts::from_rows(vec![vec![0, 1, 2, 3]]);
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            levels_pool(2)
-                .try_execute_stateful(
-                    &csr,
-                    || (),
-                    |(), b| {
-                        if b == 1 {
-                            panic!("block {b} exploded");
-                        }
-                        Ok::<(), ()>(())
-                    },
-                    |()| {},
-                )
+        // One level of four independent blocks.
+        let bundle = schedule_bundle(&[4], &[]);
+        for threads in [1usize, 2] {
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                levels_pool(threads)
+                    .try_execute(
+                        &bundle,
+                        1,
+                        || (),
+                        |(), _, b| {
+                            if b == 1 {
+                                panic!("block {b} exploded");
+                            }
+                            Ok::<(), ()>(())
+                        },
+                        |()| {},
+                    )
+                    .unwrap();
+            }))
+            .expect_err("worker panic must propagate");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert_eq!(
+                msg, "block 1 exploded",
+                "threads={threads}: original payload must survive"
+            );
+        }
+    }
+
+    #[test]
+    fn levels_record_every_level_with_worker_detail() {
+        // An eager levels call publishes one record per level, with
+        // per-worker detail at `Trace`, at every worker count.
+        let bundle = schedule_bundle(&[4, 4], &[vec![-1, 0], vec![0, -1]]);
+        for threads in [1usize, 2] {
+            let obs = Obs::new(instencil_obs::ObsLevel::Trace);
+            WavefrontPool::with_opts(threads, obs.clone(), Scheduler::Levels)
+                .try_execute(&bundle, 1, || (), |(), _, _| Ok::<(), ()>(()), |()| {})
                 .unwrap();
-        }))
-        .expect_err("worker panic must propagate");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert_eq!(msg, "block 1 exploded", "original payload must survive");
+            let rec = obs.snapshot();
+            assert_eq!(rec.wavefronts.len(), 1, "threads={threads}");
+            let w = &rec.wavefronts[0];
+            assert_eq!(w.threads, threads);
+            assert_eq!(w.levels.len(), bundle.csr.num_levels(), "threads={threads}");
+            for (index, level) in w.levels.iter().enumerate() {
+                assert_eq!(level.index, index, "threads={threads}");
+                assert_eq!(level.blocks, bundle.csr.level(index).len() as u64);
+                let executed: u64 = level.workers.iter().map(|x| x.blocks).sum();
+                assert_eq!(executed, level.blocks, "threads={threads} level {index}");
+            }
+        }
     }
 
     /// A pool under the dataflow scheduler, so eager

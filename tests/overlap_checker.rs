@@ -2,21 +2,25 @@
 //!
 //! The run-specialized engine writes tiles through raw (non-atomic)
 //! `f64` views, which is sound only because Eq. (3) scheduling makes
-//! same-level block write sets disjoint. Debug builds *verify* that
-//! claim at runtime: every store inside a wavefront block is recorded,
-//! and when two blocks of the same level touch a common flat extent of
-//! one allocation the engine panics naming both blocks and the extent.
+//! the write sets of blocks that may run concurrently disjoint. Debug
+//! builds *verify* that claim at runtime: every store inside a wavefront
+//! block is recorded, and when two blocks the dependence graph leaves
+//! unordered touch a common flat extent of one allocation the engine
+//! panics naming both blocks and the extent. Both wavefront schedulers
+//! run the same checker; under levels, blocks of one level are always
+//! unordered.
 //!
 //! These tests drive the checker both ways with a hand-built two-block
 //! module whose blocks write *overlapping* one-dimensional extents
 //! (block `f` writes elements `f` and `f+1`):
 //!
-//! * an honest `block_stencil` (block `f` depends on block `f-1`) puts
-//!   the blocks in different levels — the correct Eq. (3) schedule runs
-//!   clean, and
-//! * an empty `block_stencil` (a deliberate scheduling lie) puts both
-//!   blocks in level 0 — debug builds must panic with
-//!   `wavefront overlap: blocks 0 and 1 … flat extent [1, 1]`.
+//! * an honest `block_stencil` (block `f` depends on block `f-1`) orders
+//!   the blocks and puts them in different levels — the correct Eq. (3)
+//!   schedule runs clean, and
+//! * an empty `block_stencil` (a deliberate scheduling lie) leaves the
+//!   blocks unordered and puts both in level 0 — debug builds must panic
+//!   with `wavefront overlap: blocks 0 and 1 … flat extent [1, 1]` at
+//!   one and two workers under both schedulers.
 //!
 //! Release builds compile the checker out, so the panicking halves are
 //! `#[cfg(debug_assertions)]`-gated; the clean half runs everywhere.
@@ -77,34 +81,20 @@ fn lying_deps() -> Vec<i8> {
     vec![0, 0, 0]
 }
 
-fn run_interp(m: &Module) {
+/// Runs the module on the interpreter with `threads` workers under
+/// `scheduler`.
+fn run_interp(m: &Module, threads: usize, scheduler: Scheduler) {
     let b = BufferView::alloc(&[4]);
-    Interpreter::new()
+    Interpreter::with_opts(threads, Obs::off(), scheduler)
         .call(m, "wf", vec![RtVal::Buf(b)])
         .expect("wavefront module runs");
 }
 
-fn run_bytecode(m: &Module) {
+/// Runs the module on the bytecode engine with `threads` workers under
+/// `scheduler`.
+fn run_bytecode(m: &Module, threads: usize, scheduler: Scheduler) {
     let b = BufferView::alloc(&[4]);
-    BytecodeEngine::compile(m, 1, Scheduler::Levels, Obs::off(), BcOptions::default())
-        .expect("wavefront module compiles")
-        .call("wf", vec![RtVal::Buf(b)])
-        .expect("wavefront module runs");
-}
-
-/// The dataflow scheduler replaces the per-level checker with a
-/// graph-reachability checker: two blocks may write a common extent only
-/// if one is an ancestor of the other in the block dependence graph.
-fn run_interp_dataflow(m: &Module) {
-    let b = BufferView::alloc(&[4]);
-    Interpreter::with_opts(2, Obs::off(), Scheduler::Dataflow)
-        .call(m, "wf", vec![RtVal::Buf(b)])
-        .expect("wavefront module runs");
-}
-
-fn run_bytecode_dataflow(m: &Module) {
-    let b = BufferView::alloc(&[4]);
-    BytecodeEngine::compile(m, 2, Scheduler::Dataflow, Obs::off(), BcOptions::default())
+    BytecodeEngine::compile(m, threads, scheduler, Obs::off(), BcOptions::default())
         .expect("wavefront module compiles")
         .call("wf", vec![RtVal::Buf(b)])
         .expect("wavefront module runs");
@@ -113,17 +103,21 @@ fn run_bytecode_dataflow(m: &Module) {
 #[test]
 fn correct_schedule_runs_clean() {
     let m = two_block_module(honest_deps());
-    run_interp(&m);
-    run_bytecode(&m);
+    for threads in [1, 2] {
+        run_interp(&m, threads, Scheduler::Levels);
+        run_bytecode(&m, threads, Scheduler::Levels);
+    }
 }
 
 #[test]
 fn correct_schedule_runs_clean_under_dataflow() {
     // Block 1 depends on block 0, so the graph orders them and the
-    // shared element-1 write is sound — the dataflow checker must agree.
+    // shared element-1 write is sound — the checker must agree.
     let m = two_block_module(honest_deps());
-    run_interp_dataflow(&m);
-    run_bytecode_dataflow(&m);
+    for threads in [1, 2] {
+        run_interp(&m, threads, Scheduler::Dataflow);
+        run_bytecode(&m, threads, Scheduler::Dataflow);
+    }
 }
 
 #[cfg(debug_assertions)]
@@ -152,28 +146,35 @@ mod debug_only {
     #[test]
     fn mis_schedule_panics_in_interp() {
         let m = two_block_module(lying_deps());
-        expect_overlap_panic(move || run_interp(&m));
+        for threads in [1, 2] {
+            expect_overlap_panic(|| run_interp(&m, threads, Scheduler::Levels));
+        }
     }
 
     #[test]
     fn mis_schedule_panics_in_bytecode() {
         let m = two_block_module(lying_deps());
-        expect_overlap_panic(move || run_bytecode(&m));
+        for threads in [1, 2] {
+            expect_overlap_panic(|| run_bytecode(&m, threads, Scheduler::Levels));
+        }
     }
 
     #[test]
     fn mis_schedule_panics_in_interp_dataflow() {
         // With no dependences both blocks are roots of the block graph
-        // — unordered — yet both write element 1: the dataflow-mode
-        // reachability checker must object exactly like the per-level
-        // checker does under barriers.
+        // — unordered — yet both write element 1: the checker must
+        // object under the graph drain exactly as under barriers.
         let m = two_block_module(lying_deps());
-        expect_overlap_panic(move || run_interp_dataflow(&m));
+        for threads in [1, 2] {
+            expect_overlap_panic(|| run_interp(&m, threads, Scheduler::Dataflow));
+        }
     }
 
     #[test]
     fn mis_schedule_panics_in_bytecode_dataflow() {
         let m = two_block_module(lying_deps());
-        expect_overlap_panic(move || run_bytecode_dataflow(&m));
+        for threads in [1, 2] {
+            expect_overlap_panic(|| run_bytecode(&m, threads, Scheduler::Dataflow));
+        }
     }
 }
